@@ -24,19 +24,20 @@ from .simharness import ExperimentConfig, run_experiment, run_theory_checks
 
 
 def _read_column_csv(path) -> np.ndarray:
-    """Single-column CSV of floats; a non-numeric first line is treated as a header."""
+    """Single-column CSV of floats after an optional non-numeric header; no gaps."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for idx, line in enumerate(fh):
-            token = line.strip().split(",")[0]
-            if not token:
+        lines = fh.read().rstrip().splitlines()
+    for idx, line in enumerate(lines):
+        token = line.strip().split(",")[0]
+        if not token:
+            raise ValueError(f"{path}: line {idx + 1} has no value")
+        try:
+            values.append(float(token))
+        except ValueError:
+            if idx == 0:
                 continue
-            try:
-                values.append(float(token))
-            except ValueError:
-                if idx == 0:
-                    continue
-                raise
+            raise
     return np.array(values, dtype=np.float64)
 
 

@@ -80,19 +80,28 @@ class Membership:
 
     @classmethod
     def from_csv(cls, path, n_communities: int | None = None) -> "Membership":
-        pairs = []
+        """Read a node_id,label CSV; the n rows must name each id in 0..n-1 once."""
+        rows = []
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline()
             if not header.strip().lower().startswith("node_id"):
                 raise ValueError("membership CSV must start with a node_id,label header")
-            for line in fh:
+            for line_no, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
                 node, lab = line.split(",")
-                pairs.append((int(node), int(lab)))
-        pairs.sort()
-        labels = np.array([lab for _, lab in pairs], dtype=np.int64)
+                rows.append((line_no, int(node), int(lab)))
+        n = len(rows)
+        labels = np.empty(n, dtype=np.int64)
+        seen = {}
+        for line_no, node, lab in rows:
+            if not 0 <= node < n:
+                raise ValueError(f"line {line_no}: node_id {node} outside 0..{n - 1}")
+            if node in seen:
+                raise ValueError(f"line {line_no}: node_id {node} repeats line {seen[node]}")
+            seen[node] = line_no
+            labels[node] = lab
         K = n_communities if n_communities is not None else int(labels.max()) + 1
         return cls(labels=labels, n_communities=K)
 
@@ -234,9 +243,8 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300):
         for k in range(K):
             centers[k] = points[labels == k].mean(axis=0)
         obj = float(((points - centers[labels]) ** 2).sum())
-        assert obj <= prev_obj + 1e-9 * (1.0 + abs(prev_obj if np.isfinite(prev_obj) else 0.0)), (
-            "k-means objective increased"
-        )
+        if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj if np.isfinite(prev_obj) else 0.0)):
+            raise RuntimeError("k-means objective increased")
         prev_obj = obj
         if converged:
             break

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regression import FitResult
+from .regression import FitResult, pinv_psd
 
 HC_VARIANTS = ("HC0", "HC1", "HC3")
 
@@ -34,11 +34,10 @@ def hessian(design) -> np.ndarray:
 
 
 def _inverse_psd(H: np.ndarray, scale_rows: int) -> np.ndarray:
-    w, V = np.linalg.eigh(H)
-    threshold = scale_rows * np.finfo(np.float64).eps * max(float(w[-1]), 0.0)
-    if w[0] <= threshold:
+    H_inv, singular = pinv_psd(H, scale_rows)
+    if singular:
         raise np.linalg.LinAlgError("Hessian is singular; covariance undefined")
-    return V @ (V.T / w[:, None])
+    return H_inv
 
 
 def homoskedastic_covariance(
@@ -110,7 +109,7 @@ def community_covariance(
     if fit.structure != "full":
         raise ValueError("per-community covariances require a full-structure fit")
     mask = fit.membership.labels == community
-    rows = fit.designs[community][mask]
+    rows = fit.aggregates[mask]
     resid = fit.residuals[mask]
     if variant == "homoskedastic":
         return homoskedastic_covariance(
@@ -192,24 +191,32 @@ def wald_table(fit: FitResult, covariances=None, variant: str = "HC1") -> TestTa
     """Entrywise z-statistics, p-values, and significance stars for beta.
 
     ``covariances`` may supply one CovarianceEstimate per community; when
-    omitted they are computed from the fit with the requested variant.
+    omitted they are computed from the fit with the requested variant, and a
+    community whose Hessian is singular gets NaN cells flagged ``singular``.
     """
     K = fit.membership.n_communities
     if covariances is None:
-        covariances = [community_covariance(fit, k, variant=variant) for k in range(K)]
-    by_community = {c.community: c for c in covariances}
-    if sorted(by_community) != list(range(K)):
+        covariances = []
+        for k in range(K):
+            try:
+                covariances.append(community_covariance(fit, k, variant=variant))
+            except np.linalg.LinAlgError:
+                continue
+    elif sorted({c.community for c in covariances}) != list(range(K)):
         raise ValueError("need a covariance estimate for every community")
-    variants = {c.variant for c in covariances}
+    by_community = {c.community: c.matrix for c in covariances}
+    variants = {c.variant for c in covariances} or {variant}
     table_variant = variants.pop() if len(variants) == 1 else "mixed"
     cells = []
     for k1 in range(K):
-        cov = by_community[k1].matrix
+        cov = by_community.get(k1)
         for k2 in range(K):
             est = float(fit.beta[k1, k2])
-            se = math.sqrt(max(float(cov[k2, k2]), 0.0))
+            se = math.nan if cov is None else math.sqrt(max(float(cov[k2, k2]), 0.0))
             flag = ""
-            if se == 0.0:
+            if cov is None:
+                z, p, flag = math.nan, math.nan, "singular"
+            elif se == 0.0:
                 if est == 0.0:
                     z, p, flag = 0.0, 1.0, "degenerate"
                 else:

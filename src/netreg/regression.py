@@ -11,8 +11,9 @@ response community, each with the n x K design
     M_k = diag(Z[:, k]) (1 x^T * A) Z,
 
 whose (i, k') entry aggregates the covariates of i's neighbors inside
-community k' (zero for rows outside community k). Rank-deficient normal
-equations fall back to the minimum-norm solution and are flagged, never fatal.
+community k' (zero for rows outside community k); ``aggregate`` computes
+them. Rank-deficient normal equations fall back to the minimum-norm solution
+and are flagged, never fatal.
 """
 
 from __future__ import annotations
@@ -42,25 +43,33 @@ def _check_inputs(adjacency, membership: Membership) -> np.ndarray:
     return A
 
 
-def solve_normal_equations(H, rhs, scale_rows: int) -> tuple[np.ndarray, bool]:
-    """Solve H b = rhs for symmetric PSD H, with a min-norm fallback.
+def pinv_psd(H, scale_rows: int) -> tuple[np.ndarray, bool]:
+    """Pseudo-inverse of a symmetric PSD matrix, plus a rank-deficiency flag.
 
     Eigenvalues below ``scale_rows * eps * max_eigenvalue`` are treated as
-    zero; if any are, the minimum-Euclidean-norm solution is returned along
-    with a rank-deficiency flag.
+    zero; the flag is set when any are.
     """
-    H = np.asarray(H, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    w, V = np.linalg.eigh(H)
-    w_max = max(float(w[-1]), 0.0)
-    threshold = scale_rows * np.finfo(np.float64).eps * w_max
+    w, V = np.linalg.eigh(np.asarray(H, dtype=np.float64))
+    threshold = scale_rows * np.finfo(np.float64).eps * max(float(w[-1]), 0.0)
     keep = w > threshold
-    if keep.all():
-        return V @ ((V.T @ rhs) / w), False
-    if not keep.any():
-        return np.zeros_like(rhs), True
     Vk = V[:, keep]
-    return Vk @ ((Vk.T @ rhs) / w[keep]), True
+    return (Vk / w[keep]) @ Vk.T, not keep.all()
+
+
+def solve_normal_equations(H, rhs, scale_rows: int) -> tuple[np.ndarray, bool]:
+    """Solve H b = rhs for symmetric PSD H; the min-norm solution if ``pinv_psd`` flags H."""
+    H_pinv, deficient = pinv_psd(H, scale_rows)
+    return H_pinv @ np.asarray(rhs, dtype=np.float64), deficient
+
+
+def aggregate(adjacency, covariates, membership: Membership) -> np.ndarray:
+    """Neighbourhood aggregate N = A (X (x) Z) of an n x p covariate block X.
+
+    Column ``l * K + k'`` of the n x pK result sums covariate l over each
+    node's neighbours in community k'; no n x n temporary is formed.
+    """
+    Z = membership.onehot()
+    return adjacency @ (covariates[:, :, None] * Z[:, None, :]).reshape(membership.n, -1)
 
 
 def build_design(adjacency, covariate, membership: Membership, community: int) -> np.ndarray:
@@ -74,20 +83,30 @@ def build_design(adjacency, covariate, membership: Membership, community: int) -
     K = membership.n_communities
     if not 0 <= community < K:
         raise ValueError(f"community must be in [0, {K}), got {community}")
-    N = (A * x[None, :]) @ membership.onehot()
-    M = np.zeros_like(N)
-    mask = membership.labels == community
-    M[mask] = N[mask]
+    M = aggregate(A, x[:, None], membership)
+    M[membership.labels != community] = 0.0
     return M
+
+
+def _solve_per_community(N, y, membership: Membership) -> tuple[np.ndarray, list]:
+    """Coefficient rows and min-norm flags of y regressed on N[labels == k], per community k."""
+    rows, flags = [], []
+    for k in range(membership.n_communities):
+        mask = membership.labels == k
+        Nk = N[mask]
+        b, deficient = solve_normal_equations(Nk.T @ Nk, Nk.T @ y[mask], scale_rows=membership.n)
+        rows.append(b)
+        flags.append(deficient)
+    return np.array(rows), flags
 
 
 @dataclass
 class FitResult:
     """Fitted block coefficients plus per-community solver diagnostics.
 
-    ``designs``/``hessians``/``min_norm`` are per response community for the
-    full structure; for row and singleton structures they hold the single
-    reduced design of the shared problem.
+    ``aggregates`` is the n x K aggregate N; community k's design rows are
+    ``aggregates[labels == k]``. ``min_norm`` is per response community for the
+    full structure and holds the shared problem's flag for row and singleton.
     """
 
     beta: np.ndarray
@@ -95,8 +114,7 @@ class FitResult:
     membership: Membership
     fitted: np.ndarray
     residuals: np.ndarray
-    designs: list
-    hessians: list
+    aggregates: np.ndarray
     min_norm: list
 
     @property
@@ -139,22 +157,10 @@ def fit_full(adjacency, covariate, response, membership: Membership) -> FitResul
     solution and are flagged in the result.
     """
     A = _check_inputs(adjacency, membership)
-    n, K = membership.n, membership.n_communities
-    x = _as_vector(covariate, n, "covariate")
-    y = _as_vector(response, n, "response")
-    N = (A * x[None, :]) @ membership.onehot()
-    beta = np.zeros((K, K), dtype=np.float64)
-    designs, hessians, flags = [], [], []
-    for k in range(K):
-        M = np.zeros_like(N)
-        mask = membership.labels == k
-        M[mask] = N[mask]
-        H = M.T @ M
-        b, deficient = solve_normal_equations(H, M.T @ y, scale_rows=n)
-        beta[k] = b
-        designs.append(M)
-        hessians.append(H)
-        flags.append(deficient)
+    x = _as_vector(covariate, membership.n, "covariate")
+    y = _as_vector(response, membership.n, "response")
+    N = aggregate(A, x[:, None], membership)
+    beta, flags = _solve_per_community(N, y, membership)
     fitted = predict(A, x, membership, beta)
     return FitResult(
         beta=beta,
@@ -162,8 +168,7 @@ def fit_full(adjacency, covariate, response, membership: Membership) -> FitResul
         membership=membership,
         fitted=fitted,
         residuals=y - fitted,
-        designs=designs,
-        hessians=hessians,
+        aggregates=N,
         min_norm=flags,
     )
 
@@ -176,8 +181,8 @@ def predict(adjacency, covariate, membership: Membership, beta) -> np.ndarray:
     K = membership.n_communities
     if beta.shape != (K, K):
         raise ValueError(f"beta must be {K}x{K}, got {beta.shape}")
-    expanded = beta[np.ix_(membership.labels, membership.labels)]
-    return (expanded * A) @ x
+    N = aggregate(A, x[:, None], membership)
+    return np.einsum("ik,ik->i", N, beta[membership.labels])
 
 
 def loss(adjacency, covariate, response, membership: Membership, beta) -> float:
@@ -210,9 +215,8 @@ def fit_row(adjacency, covariate, response, membership: Membership) -> FitResult
     n, K = membership.n, membership.n_communities
     x = _as_vector(covariate, n, "covariate")
     y = _as_vector(response, n, "response")
-    N = (A * x[None, :]) @ membership.onehot()
-    H = N.T @ N
-    b0, deficient = solve_normal_equations(H, N.T @ y, scale_rows=n)
+    N = aggregate(A, x[:, None], membership)
+    b0, deficient = solve_normal_equations(N.T @ N, N.T @ y, scale_rows=n)
     beta = np.tile(b0, (K, 1))
     fitted = predict(A, x, membership, beta)
     return FitResult(
@@ -221,8 +225,7 @@ def fit_row(adjacency, covariate, response, membership: Membership) -> FitResult
         membership=membership,
         fitted=fitted,
         residuals=y - fitted,
-        designs=[N],
-        hessians=[H],
+        aggregates=N,
         min_norm=[deficient],
     )
 
@@ -233,7 +236,8 @@ def fit_singleton(adjacency, covariate, response, membership: Membership) -> Fit
     n, K = membership.n, membership.n_communities
     x = _as_vector(covariate, n, "covariate")
     y = _as_vector(response, n, "response")
-    v = A @ x
+    N = aggregate(A, x[:, None], membership)
+    v = N.sum(axis=1)
     denom = float(v @ v)
     if denom <= 0.0:
         raise ValueError("degenerate input: x^T A^2 x is zero")
@@ -246,8 +250,7 @@ def fit_singleton(adjacency, covariate, response, membership: Membership) -> Fit
         membership=membership,
         fitted=fitted,
         residuals=y - fitted,
-        designs=[v[:, None]],
-        hessians=[np.array([[denom]])],
+        aggregates=N,
         min_norm=[False],
     )
 
@@ -299,15 +302,15 @@ def center_data(adjacency, covariate, response, membership: Membership) -> Cente
     y_means = Z.T @ y / sizes
     y_centered = y - y_means[labels]
 
-    # S[k, j] = number of edges from community k into node j.
-    S = Z.T @ A
-    numer = (S * x[None, :]) @ Z
-    denom = S @ Z
+    # numer[k, k'] sums x_j over the edges from community k into community k';
+    # denom[k, k'] counts those edges.
+    sums = Z.T @ aggregate(A, np.column_stack([x, np.ones_like(x)]), membership)
+    numer, denom = sums[:, :K], sums[:, K:]
     zero_blocks = [
         (int(k), int(kp)) for k, kp in zip(*np.nonzero(denom == 0.0))
     ]
     mu = np.divide(numer, denom, out=np.zeros_like(numer), where=denom != 0.0)
-    x_centered = x[None, :] - mu[:, labels]
+    x_centered = x - mu[:, labels]
     return CenteredData(covariate=x_centered, response=y_centered, zero_blocks=zero_blocks)
 
 
@@ -340,23 +343,12 @@ def fit_full_multi(adjacency, covariates, response, membership: Membership) -> M
     if p < 1:
         raise ValueError("need at least one covariate column")
     y = _as_vector(response, n, "response")
-    Z = membership.onehot()
-    aggregates = [(A * X[:, l][None, :]) @ Z for l in range(p)]
-    stacked = np.hstack(aggregates)
-    beta = np.zeros((K, K, p), dtype=np.float64)
-    flags = []
-    for k in range(K):
-        D = np.zeros_like(stacked)
-        mask = membership.labels == k
-        D[mask] = stacked[mask]
-        vec, deficient = solve_normal_equations(D.T @ D, D.T @ y, scale_rows=n)
-        beta[k] = vec.reshape(p, K).T
-        flags.append(deficient)
-    fitted = np.zeros(n, dtype=np.float64)
-    for l in range(p):
-        fitted += np.einsum("ik,ik->i", aggregates[l], beta[membership.labels, :, l])
+    N = aggregate(A, X, membership)
+    # Row k holds community k's coefficients in N's column order l * K + k'.
+    coef, flags = _solve_per_community(N, y, membership)
+    fitted = np.einsum("ik,ik->i", N, coef[membership.labels])
     return MultiFitResult(
-        beta=beta,
+        beta=coef.reshape(K, p, K).transpose(0, 2, 1),
         membership=membership,
         fitted=fitted,
         residuals=y - fitted,

@@ -21,7 +21,7 @@ from .baseline import ablation_network, cv_select_lambda, fit_netcoh, predict_ne
 from .community import Membership, align_permutation, detect_communities, perturb_membership
 from .graph import SbmParams, sample_sbm
 from .metrics import estimation_error, prediction_error
-from .regression import fit_full, fit_row, fit_singleton, predict
+from .regression import aggregate, fit_full, fit_row, fit_singleton, predict
 
 _EXPERIMENT_CODES = {
     "network_ablation": 1,
@@ -598,7 +598,6 @@ def run_theory_checks(
         raise ValueError(f"block_probs must be {K}x{K}")
     labels = np.repeat(np.arange(K), n // K)
     membership = Membership(labels=labels, n_communities=K)
-    Z = membership.onehot()
     params = SbmParams(membership=membership, block_probs=B)
 
     # (a) smallest Hessian eigenvalue vs. the population bound, per draw.
@@ -607,7 +606,7 @@ def run_theory_checks(
         rng = np.random.default_rng(derive_seed(base_seed, code, 1, d, 0))
         x = rng.standard_normal(n)
         A = sample_sbm(params, seed=derive_seed(base_seed, code, 1, d, 1))
-        N = (A * x[None, :]) @ Z
+        N = aggregate(A, x[:, None], membership)
         ok = True
         for k in range(K):
             rows = N[labels == k]
@@ -624,7 +623,7 @@ def run_theory_checks(
     beta_star = rng.standard_normal((K, K))
     A = sample_sbm(params, seed=derive_seed(base_seed, code, 2, 1))
     signal = predict(A, x, membership, beta_star)
-    N = (A * x[None, :]) @ Z
+    N = aggregate(A, x[:, None], membership)
     noise_rng = np.random.default_rng(derive_seed(base_seed, code, 2, 2))
     noise = noise_sd * noise_rng.standard_normal((n_noise_reps, n))
     Y = signal[None, :] + noise

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from netreg.cli import main
+from netreg.cli import _read_column_csv, main
 
 
 def _write_column(path, values, header):
@@ -122,6 +122,15 @@ def test_fit_and_infer(workspace, capsys):
     assert rc == 0
     assert wald_csv.read_text().startswith("k1,k2,estimate")
     assert "target" in capsys.readouterr().out
+
+
+def test_column_csv_rejects_blank_line_between_values(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("x\n1.0\n2.0\n\n")
+    assert _read_column_csv(path).tolist() == [1.0, 2.0]
+    path.write_text("x\n1.0\n\n2.0\n3.0\n")
+    with pytest.raises(ValueError, match="line 3"):
+        _read_column_csv(path)
 
 
 def test_netcoh_command(workspace, capsys):

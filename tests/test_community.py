@@ -231,3 +231,16 @@ def test_membership_csv_round_trip(tmp_path):
     loaded = Membership.from_csv(path)
     assert np.array_equal(loaded.labels, m.labels)
     assert loaded.n_communities == 3
+
+
+def test_membership_csv_node_ids(tmp_path):
+    path = tmp_path / "membership.csv"
+    path.write_text("node_id,label\n2,1\n0,0\n1,1\n")
+    assert Membership.from_csv(path).labels.tolist() == [0, 1, 1]
+
+    path.write_text("node_id,label\n1,0\n2,1\n3,0\n3,1\n")
+    with pytest.raises(ValueError, match="line 5: node_id 3"):
+        Membership.from_csv(path)
+    path.write_text("node_id,label\n1,0\n2,1\n3,0\n4,1\n")
+    with pytest.raises(ValueError, match="line 5: node_id 4"):
+        Membership.from_csv(path)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import small_instance
 from netreg import (
+    Membership,
     community_covariance,
     fit_full,
     hc_covariance,
@@ -185,6 +186,31 @@ def test_wald_degenerate_se_flags():
     for cell in table.cells:
         if cell.estimate != 0.0:
             assert cell.p == 0.0 and cell.flag == "zero_se"
+
+
+def test_wald_flags_singular_community_without_aborting():
+    # Community 0 links to every node, so all its aggregate rows are equal and
+    # its Hessian has rank 1; community 1 keeps a full-rank Hessian.
+    rng = np.random.default_rng(50)
+    n = 60
+    m = Membership(labels=(np.arange(n) >= 20).astype(int), n_communities=2)
+    A = np.triu((rng.random((n, n)) < 0.3).astype(float), 1)
+    A = A + A.T
+    A[:20, :] = A[:, :20] = 1.0
+    np.fill_diagonal(A, 1.0)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    table = wald_table(fit_full(A, x, y, m), variant="HC1")
+    for cell in table.cells:
+        if cell.target == 0:
+            assert cell.flag == "singular"
+            assert all(math.isnan(v) for v in (cell.se, cell.z, cell.p))
+        else:
+            assert cell.flag == "" and math.isfinite(cell.p)
+
+    complete = fit_full(np.ones((n, n)), x, y, m)
+    assert all(c.flag == "singular" for c in wald_table(complete).cells)
+    with pytest.raises(np.linalg.LinAlgError):
+        community_covariance(complete, 0)
 
 
 def test_wald_table_csv(tmp_path):

@@ -85,6 +85,14 @@ def test_predict_trivial_cases():
     assert np.allclose(predict(np.eye(n), xs, single, [[2.5]]), 2.5 * xs)
 
 
+def test_predict_matches_literal_formula():
+    A, x, m = small_instance(38, n=60, n_communities=3)
+    beta = np.random.default_rng(39).standard_normal((3, 3))
+    Z = m.onehot()
+    literal = ((Z @ beta @ Z.T) * A) @ x
+    assert np.allclose(predict(A, x, m, beta), literal, rtol=0.0, atol=1e-12)
+
+
 def test_predict_matches_stacked_design_form():
     A, x, m = small_instance(7, n=60, n_communities=3)
     rng = np.random.default_rng(8)
@@ -222,6 +230,7 @@ def test_multi_covariate_reduces_to_single():
     multi = fit_full_multi(A, x[:, None], y, m)
     single = fit_full(A, x, y, m)
     assert np.allclose(multi.beta[:, :, 0], single.beta, atol=1e-12)
+    assert np.allclose(multi.fitted, single.fitted, atol=1e-12)
 
 
 def test_multi_covariate_noiseless_recovery():
