@@ -37,7 +37,7 @@ def _read_column_csv(path) -> np.ndarray:
         except ValueError:
             if idx == 0:
                 continue
-            raise
+            raise ValueError(f"{path}: line {idx + 1}: non-numeric value {token!r}") from None
     return np.array(values, dtype=np.float64)
 
 
@@ -77,7 +77,8 @@ def _cmd_simulate_sbm(args) -> int:
         save_adjacency_csv(A, args.adjacency_csv)
     if args.membership_out:
         membership.to_csv(args.membership_out)
-    print(f"wrote {args.out} ({int(np.triu(A, 1).sum())} edges, n={A.shape[0]})")
+    n_edges = (np.count_nonzero(A) - A.shape[0]) // 2
+    print(f"wrote {args.out} ({n_edges} edges, n={A.shape[0]})")
     return 0
 
 

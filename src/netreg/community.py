@@ -90,16 +90,21 @@ class Membership:
                 line = line.strip()
                 if not line:
                     continue
-                node, lab = line.split(",")
-                rows.append((line_no, int(node), int(lab)))
+                node, _, lab = line.partition(",")
+                try:
+                    rows.append((line_no, int(node), int(lab)))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {line_no}: expected integer node_id,label, got {line!r}"
+                    ) from None
         n = len(rows)
         labels = np.empty(n, dtype=np.int64)
         seen = {}
         for line_no, node, lab in rows:
             if not 0 <= node < n:
-                raise ValueError(f"line {line_no}: node_id {node} outside 0..{n - 1}")
+                raise ValueError(f"{path}: line {line_no}: node_id {node} outside 0..{n - 1}")
             if node in seen:
-                raise ValueError(f"line {line_no}: node_id {node} repeats line {seen[node]}")
+                raise ValueError(f"{path}: line {line_no}: node_id {node} repeats line {seen[node]}")
             seen[node] = line_no
             labels[node] = lab
         K = n_communities if n_communities is not None else int(labels.max()) + 1

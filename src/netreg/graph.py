@@ -8,6 +8,7 @@ diagonal.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,20 +66,19 @@ def sample_sbm(params: SbmParams, seed: int) -> np.ndarray:
     probability ``B[label_i, label_j]``; the matrix is mirrored and the
     diagonal forced to 1. The RNG stream is consumed in fixed row-major order
     over the strict upper triangle, so identical seeds give bit-identical
-    matrices.
+    matrices. Row i draws its ``n - 1 - i`` uniforms in one call, which is the
+    same stream as one draw over the whole triangle.
     """
     labels = params.membership.labels
     n = labels.size
-    P = params.block_probs[np.ix_(labels, labels)]
-    rows, cols = np.triu_indices(n, k=1)
+    probs_to = params.block_probs[:, labels]  # K x n: B[k, label_j]
     rng = np.random.default_rng(seed)
-    draws = rng.random(rows.size)
-    A = np.zeros((n, n), dtype=np.float64)
-    edges = draws < P[rows, cols]
-    A[rows[edges], cols[edges]] = 1.0
-    A = A + A.T
-    np.fill_diagonal(A, 1.0)
-    return A
+    upper = np.zeros((n, n), dtype=bool)
+    for i in range(n - 1):
+        upper[i, i + 1 :] = rng.random(n - 1 - i) < probs_to[labels[i], i + 1 :]
+    upper = upper | upper.T
+    np.fill_diagonal(upper, True)
+    return upper.astype(np.float64)
 
 
 def network_sparsity(block_probs) -> float:
@@ -92,13 +92,47 @@ def network_sparsity(block_probs) -> float:
 def load_edge_list(path, n: int) -> np.ndarray:
     """Read a whitespace-separated edge list into an n x n adjacency matrix.
 
-    One undirected edge "i j" per line, 0-based. Self-loops are forced to 1
-    regardless of the file content. Blank lines and lines starting with '#'
-    are skipped.
+    Grammar, one line at a time: a blank (whitespace-only) line or a line
+    whose first non-blank character is '#' is skipped; every other line holds
+    exactly two whitespace-separated integers "i j" in [0, n), one undirected
+    edge, 0-based. '#' starts a comment only at the start of a line. Lines may
+    end in LF or CRLF and may carry leading or trailing spaces or tabs.
+    Self-loops are forced to 1 regardless of the file content.
+
+    The whole file is first parsed in one vectorised read. A file that read
+    cannot take (a comment, a non-integer token, a wrong token count, an
+    index out of range, no data) is parsed again by the line scan
+    ``_scan_edge_list``, which is the reference for the grammar and the only
+    source of ``EdgeListFormatError`` and its line number.
     """
     if n < 1:
         raise ValueError("n must be positive")
     A = np.zeros((n, n), dtype=np.float64)
+    pairs = _read_edge_pairs(path, n)
+    if pairs is None:
+        _scan_edge_list(path, n, A)
+    else:
+        A[pairs[:, 0], pairs[:, 1]] = 1.0
+        A[pairs[:, 1], pairs[:, 0]] = 1.0
+    np.fill_diagonal(A, 1.0)
+    return A
+
+
+def _read_edge_pairs(path, n: int) -> np.ndarray | None:
+    """The file as an (m, 2) int64 array of in-range pairs, or None to defer to the scan."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            pairs = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2, encoding="utf-8")
+    except (ValueError, OverflowError, Warning):
+        return None
+    if pairs.size == 0 or pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= n:
+        return None
+    return pairs
+
+
+def _scan_edge_list(path, n: int, A: np.ndarray) -> None:
+    """Set A[i, j] = A[j, i] = 1 for each edge line; raise on the first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -121,17 +155,19 @@ def load_edge_list(path, n: int) -> np.ndarray:
                 )
             A[i, j] = 1.0
             A[j, i] = 1.0
-    np.fill_diagonal(A, 1.0)
-    return A
 
 
 def save_edge_list(adjacency, path) -> None:
     """Write the strict upper triangle as "i j" lines (self-loops implicit)."""
     A = validate_adjacency(adjacency)
-    rows, cols = np.nonzero(np.triu(A, k=1))
+    n = A.shape[0]
+    ids = [str(i) for i in range(n)]
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            fh.write(f"{i} {j}\n")
+        for i in range(n - 1):
+            cols = (np.flatnonzero(A[i, i + 1 :]) + (i + 1)).tolist()
+            if cols:
+                head = ids[i] + " "
+                fh.write(head + ("\n" + head).join([ids[j] for j in cols]) + "\n")
 
 
 def save_adjacency_csv(adjacency, path) -> None:

@@ -278,3 +278,20 @@ def test_theory_check_command(tmp_path, capsys):
     assert rc in (0, 1)  # tiny sizes may legitimately fail the gates
     report = json.loads(out.read_text())
     assert "eigenvalue_bound" in report
+
+
+def test_column_csv_non_numeric_value_names_line(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("x\nabc\n")
+    with pytest.raises(ValueError, match=r"x\.csv: line 2: non-numeric value 'abc'"):
+        _read_column_csv(path)
+
+
+def test_simulate_sbm_reports_edge_count(tmp_path, capsys):
+    net = tmp_path / "net.txt"
+    rc = main(
+        ["simulate-sbm", "--n", "40", "--block-probs", "[[0.3]]", "--seed", "2", "--out", str(net)]
+    )
+    assert rc == 0
+    n_lines = len(net.read_text().splitlines())
+    assert capsys.readouterr().out == f"wrote {net} ({n_lines} edges, n=40)\n"

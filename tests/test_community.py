@@ -244,3 +244,11 @@ def test_membership_csv_node_ids(tmp_path):
     path.write_text("node_id,label\n1,0\n2,1\n3,0\n4,1\n")
     with pytest.raises(ValueError, match="line 5: node_id 4"):
         Membership.from_csv(path)
+
+
+@pytest.mark.parametrize("row", ["1", "1,0,2", "a,0", "1,"])
+def test_membership_csv_malformed_row_names_line(tmp_path, row):
+    path = tmp_path / "membership.csv"
+    path.write_text(f"node_id,label\n0,0\n{row}\n")
+    with pytest.raises(ValueError, match=r"membership\.csv: line 3: expected integer node_id,label"):
+        Membership.from_csv(path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assortative_params, random_membership
 from netreg import (
@@ -12,6 +14,7 @@ from netreg import (
     save_edge_list,
     validate_adjacency,
 )
+from netreg import graph
 from netreg.graph import EdgeListFormatError
 
 
@@ -171,3 +174,169 @@ def test_sampled_membership_params_round_trip():
     m = random_membership(rng, 30, 3)
     assert m.sizes().sum() == 30
     assert np.array_equal(Membership.from_onehot(m.onehot()).labels, m.labels)
+
+
+# Reference implementations: the earlier per-line reader, the triu_indices
+# sampler and the per-edge writer. The library versions must match them
+# exactly (same matrix, same bytes, same error and line number).
+
+
+def _load_edge_list_reference(path, n):
+    A = np.zeros((n, n), dtype=np.float64)
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise EdgeListFormatError(
+                    f"expected two node indices, got {len(parts)} tokens", line_no
+                )
+            try:
+                i, j = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise EdgeListFormatError(
+                    f"non-integer node index in {line!r}", line_no
+                ) from None
+            if not (0 <= i < n and 0 <= j < n):
+                raise EdgeListFormatError(
+                    f"node index out of range [0, {n}) in {line!r}", line_no
+                )
+            A[i, j] = 1.0
+            A[j, i] = 1.0
+    np.fill_diagonal(A, 1.0)
+    return A
+
+
+def _sample_sbm_reference(params, seed):
+    labels = params.membership.labels
+    n = labels.size
+    P = params.block_probs[np.ix_(labels, labels)]
+    rows, cols = np.triu_indices(n, k=1)
+    rng = np.random.default_rng(seed)
+    draws = rng.random(rows.size)
+    A = np.zeros((n, n), dtype=np.float64)
+    edges = draws < P[rows, cols]
+    A[rows[edges], cols[edges]] = 1.0
+    A = A + A.T
+    np.fill_diagonal(A, 1.0)
+    return A
+
+
+def _save_edge_list_reference(A, path):
+    rows, cols = np.nonzero(np.triu(A, k=1))
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            fh.write(f"{i} {j}\n")
+
+
+def _outcome(load, path, n):
+    try:
+        return "ok", load(path, n)
+    except EdgeListFormatError as exc:
+        return "error", (exc.line_number, str(exc))
+
+
+_ORACLE_N = 5
+_PAD = st.sampled_from(["", " ", "\t", "  ", " \t "])
+_SEP = st.sampled_from([" ", "\t", "  ", " \t"])
+_ID = st.integers(0, _ORACLE_N - 1).map(str)
+_TOKEN = st.one_of(
+    st.integers(-3, _ORACLE_N + 2).map(str),
+    st.sampled_from(["x", "1.0", "1e0", "+1", "-0", "0x1", "1_0", "#", "0#", "99999999999999999999"]),
+)
+
+
+@st.composite
+def _edge_line(draw):
+    kind = draw(st.sampled_from(["pair", "pair", "pair", "tokens", "blank", "comment"]))
+    if kind == "pair":
+        body = draw(_ID) + draw(_SEP) + draw(_ID)
+    elif kind == "tokens":
+        tokens = draw(st.lists(_TOKEN, min_size=1, max_size=3))
+        body = tokens[0] + "".join(draw(_SEP) + t for t in tokens[1:])
+    elif kind == "blank":
+        body = ""
+    else:
+        body = "#" + draw(st.sampled_from(["", " c", "0 1", "#"]))
+    return draw(_PAD) + body + draw(_PAD) + draw(st.sampled_from(["\n", "\r\n"]))
+
+
+@st.composite
+def _edge_file(draw):
+    text = "".join(draw(st.lists(_edge_line(), max_size=10)))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # last line without a line end
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_edge_file())
+def test_load_edge_list_matches_line_scan_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("oracle") / "net.txt"
+    path.write_bytes(text.encode("utf-8"))
+    got = _outcome(load_edge_list, path, _ORACLE_N)
+    want = _outcome(_load_edge_list_reference, path, _ORACLE_N)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+def test_load_edge_list_reports_file_line_not_data_row(tmp_path):
+    path = tmp_path / "net.txt"
+    path.write_text("0 1\n\n# c\n0 9\n")
+    with pytest.raises(EdgeListFormatError) as excinfo:
+        load_edge_list(path, 3)
+    assert excinfo.value.line_number == 4
+
+
+def test_plain_edge_list_skips_line_scan(tmp_path, monkeypatch):
+    path = tmp_path / "net.txt"
+    path.write_text("0 1\r\n 2\t0 \n\n1 2")
+
+    def fail(*args):
+        raise AssertionError("line scan used for a plain edge list")
+
+    monkeypatch.setattr(graph, "_scan_edge_list", fail)
+    assert np.array_equal(load_edge_list(path, 3), np.ones((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "n, K, seed, block_probs",
+    [
+        (1, 1, 0, [[0.5]]),
+        (2, 1, 1, [[0.5]]),
+        (2, 2, 2, [[1.0, 0.0], [0.0, 1.0]]),
+        (2, 2, 3, [[0.0, 1.0], [1.0, 0.0]]),
+        (9, 3, 4, None),
+        (60, 2, 5, [[1.0, 0.3], [0.3, 0.0]]),
+        (150, 4, 6, None),
+        (301, 5, 7, None),
+    ],
+)
+def test_sample_sbm_matches_triu_reference(n, K, seed, block_probs):
+    rng = np.random.default_rng(100 + seed)
+    if block_probs is None:
+        params = assortative_params(rng, n, K)
+    else:
+        labels = np.arange(n) % K
+        params = SbmParams(membership=Membership(labels=labels, n_communities=K), block_probs=block_probs)
+    A = sample_sbm(params, seed=seed)
+    assert A.dtype == np.float64
+    assert np.array_equal(A, _sample_sbm_reference(params, seed))
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (7, 2), (120, 3), (400, 4)])
+def test_save_edge_list_matches_per_edge_writer(tmp_path, n, seed):
+    rng = np.random.default_rng(seed)
+    matrices = [np.eye(n), np.ones((n, n))]
+    if n >= 2:
+        matrices.append(sample_sbm(assortative_params(rng, n, 2 if n >= 4 else 1), seed=seed))
+    for A in matrices:
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        save_edge_list(A, got)
+        _save_edge_list_reference(A, want)
+        assert got.read_bytes() == want.read_bytes()
