@@ -13,6 +13,8 @@ from netreg import (
     sample_sbm,
 )
 from netreg.baseline import DEFAULT_GRID_SIZE, default_lambda_grid
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 def connected_instance(seed, n=60):
@@ -29,6 +31,23 @@ def test_laplacian_kills_constants():
     L = laplacian(A)
     assert np.allclose(L @ np.ones(60), 0.0, atol=1e-12)
     assert np.allclose(L, L.T)
+
+
+def test_laplacian_matches_literal_formula():
+    rng = np.random.default_rng(17)
+    W = rng.random((9, 9)) * (rng.random((9, 9)) < 0.5)
+    W = W + W.T  # weighted, with self-loops on the diagonal
+    assert np.array_equal(laplacian(W), np.diag(W.sum(axis=1)) - W)
+
+
+def test_fit_netcoh_matches_literal_system():
+    A, x, y = connected_instance(18)
+    A[3, 3] = 1.0  # a self-loop, which the Laplacian cancels
+    lam = 0.45
+    fit = fit_netcoh(A, x, y, lam)
+    system = np.block([[np.eye(60) + lam * laplacian(A), x[:, None]], [x[None, :], x @ x]])
+    sol = np.linalg.solve(system, np.append(y, x @ y))
+    assert np.array_equal(fit.alpha, sol[:60]) and fit.beta == sol[60]
 
 
 def test_solution_satisfies_linear_system():
@@ -135,14 +154,16 @@ def test_cv_selects_grid_minimum():
 
 
 def test_cv_error_matches_direct_computation():
-    # The CV sweep uses an eigendecomposition shortcut for the training solve
-    # and a precomputed harmonic operator; both must agree with the direct
-    # route: fit on the training subgraph, then solve the held-out Laplacian
-    # block. Connected instance, so every held-out component is grounded.
+    # The CV sweep solves the training fit through a tridiagonal reduction of
+    # the training Laplacian and a precomputed harmonic operator; both must
+    # agree with the direct route: fit on the training subgraph, then solve
+    # the held-out Laplacian block. Connected instance, so every held-out
+    # component is grounded.
     A, x, y = connected_instance(20)
     n, lam = 60, 0.37
     fit = cv_select_lambda(A, x, y, n_folds=3, seed=5, grid=[lam])
     cv_err = fit.cv_curve[0][1]
+    assert fit.notes["ungrounded_held_out"] == 0
 
     L = laplacian(A)
     rng = np.random.default_rng(5)
@@ -186,6 +207,122 @@ def test_cv_handles_isolated_held_out_nodes():
     x, y = rng.standard_normal(n), rng.standard_normal(n)
     fit = cv_select_lambda(A, x, y, n_folds=4, seed=0, grid=[0.1, 1.0])
     assert np.isfinite(fit.lam)
+    assert fit.notes["ungrounded_held_out"] == n
+
+
+def eigh_cv_reference(A, x, y, n_folds, seed, grid):
+    """The CV sweep as an eigendecomposition plus a loop over lambda.
+
+    Returns the CV curve, the lambda it selects and the number of held-out
+    nodes (over all folds) in components with no edge into the training set.
+    """
+    def laplacian_literal(W):
+        return np.diag(W.sum(axis=1)) - W
+
+    n = x.size
+    lambdas = np.asarray(grid, dtype=np.float64)
+    L = laplacian_literal(A)
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), n_folds)
+    total = np.zeros(lambdas.size)
+    ungrounded = 0
+    for fold in folds:
+        held = np.sort(fold)
+        train = np.setdiff1d(np.arange(n), held)
+        d, V = np.linalg.eigh(laplacian_literal(A[np.ix_(train, train)]))
+        xt, yt = x[train], y[train]
+        Vx, Vy = V.T @ xt, V.T @ yt
+        xTx, xTy = float(xt @ xt), float(xt @ yt)
+        A_hh = A[np.ix_(held, held)].copy()
+        np.fill_diagonal(A_hh, 0.0)
+        _, comp = connected_components(csr_matrix(A_hh), directed=False)
+        has_boundary = A[np.ix_(held, train)].sum(axis=1) > 0
+        grounded = np.zeros(held.size, dtype=bool)
+        for c in np.unique(comp):
+            if has_boundary[comp == c].any():
+                grounded[comp == c] = True
+        ungrounded += int((~grounded).sum())
+        hg = held[grounded]
+        op = np.linalg.solve(L[np.ix_(hg, hg)], A[np.ix_(hg, train)]) if hg.size else None
+        for j, lam in enumerate(lambdas):
+            shrink = 1.0 / (1.0 + lam * d)
+            denom = xTx - float((Vx * Vx) @ shrink)
+            if denom <= 1e-12 * max(xTx, 1.0):
+                beta = 0.0
+            else:
+                beta = (xTy - float((Vx * Vy) @ shrink)) / denom
+            alpha_t = V @ ((Vy - beta * Vx) * shrink)
+            alpha_h = np.full(held.size, alpha_t.mean())
+            if op is not None:
+                alpha_h[grounded] = op @ alpha_t
+            resid = y[held] - (alpha_h + beta * x[held])
+            total[j] += float(resid @ resid)
+    cv_errors = total / n
+    return cv_errors, float(lambdas[np.argmin(cv_errors)]), ungrounded
+
+
+def islands_instance():
+    # Two SBM communities, eight disjoint edges and eight isolated nodes: with
+    # two folds some edges and isolated nodes are held out whole.
+    A, x, y = connected_instance(30, n=40)
+    n = 64
+    big = np.zeros((n, n))
+    big[:40, :40] = A
+    for i in range(40, 56, 2):
+        big[i, i + 1] = big[i + 1, i] = 1.0
+    big[60, 60] = 1.0  # a self-loop, which the Laplacian cancels
+    rng = np.random.default_rng(31)
+    return big, rng.standard_normal(n), rng.standard_normal(n)
+
+
+def oracle_cases():
+    A, x, y = connected_instance(21, n=150)
+    yield "connected_sbm", A, x, y, 5
+    A, x, y = islands_instance()
+    yield "islands", A, x, y, 2
+    rng = np.random.default_rng(32)
+    yield "identity", np.eye(30), rng.standard_normal(30), rng.standard_normal(30), 3
+    A, _, y = connected_instance(33)
+    yield "constant_x", A, np.full(60, 1.7), y, 4
+    A, x, y = connected_instance(34, n=25)
+    yield "leave_one_out", A, x, y, 25
+
+
+@pytest.mark.parametrize("case", list(oracle_cases()), ids=lambda c: c[0])
+def test_cv_matches_eigh_reference(case):
+    _, A, x, y, n_folds = case
+    grid = default_lambda_grid()
+    ref_errors, ref_lam, ref_ungrounded = eigh_cv_reference(A, x, y, n_folds, 4, grid)
+    fit = cv_select_lambda(A, x, y, n_folds=n_folds, seed=4)
+    assert [l for l, _ in fit.cv_curve] == grid.tolist()
+    np.testing.assert_allclose([e for _, e in fit.cv_curve], ref_errors, rtol=1e-10, atol=0)
+    assert fit.lam == ref_lam
+    assert fit.notes["ungrounded_held_out"] == ref_ungrounded
+
+
+def test_islands_case_has_ungrounded_held_out_nodes():
+    # Guards the oracle case above: it must exercise the training-mean rule.
+    A, x, y = islands_instance()
+    assert 0 < eigh_cv_reference(A, x, y, 2, 4, [1.0])[2] < 24
+
+
+@pytest.mark.parametrize("A", [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
+def test_cv_one_node_training_set(A):
+    # n = 2, two folds: each training set is one node, the slope is
+    # unidentified (beta = 0) and every held-out prediction is the other y.
+    x, y = np.array([1.0, 2.0]), np.array([1.0, 1.5])
+    fit = cv_select_lambda(A, x, y, n_folds=2, grid=[0.1, 1.0])
+    assert fit.cv_curve == [(0.1, 0.25), (1.0, 0.25)]
+    assert fit.lam == 0.1
+    assert fit.notes["ungrounded_held_out"] == (2 if A[0, 1] == 0 else 0)
+
+
+def test_cv_names_failed_lapack_routine():
+    # Negative edge weights make I + lam L_tt indefinite, which the
+    # positive definite tridiagonal solve reports instead of returning garbage.
+    A = -5.0 * (np.ones((4, 4)) - np.eye(4))
+    x, y = np.arange(4.0), np.ones(4)
+    with pytest.raises(np.linalg.LinAlgError, match="dptsv"):
+        cv_select_lambda(A, x, y, n_folds=4, grid=[1.0])
 
 
 def test_fit_netcoh_validation():
