@@ -62,6 +62,22 @@ class NetcohFit:
             fh.write("\n")
 
 
+def _netcoh_system(A: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
+    """The (n+1) x (n+1) normal matrix [[I + lam L, x], [x^T, x^T x]].
+
+    I + lam L is written in place: the same values as that sum (up to the
+    sign of zeros) without an n x n temporary beside the system.
+    """
+    n = x.size
+    system = np.empty((n + 1, n + 1), dtype=np.float64)
+    np.multiply(A, -lam, out=system[:n, :n])
+    system[np.diag_indices(n)] = 1.0 + lam * (A.sum(axis=1) - np.diagonal(A))
+    system[:n, n] = x
+    system[n, :n] = x
+    system[n, n] = x @ x
+    return system
+
+
 def fit_netcoh(adjacency, covariate, response, lam: float) -> NetcohFit:
     """Solve the penalized problem exactly via its (n+1)-dimensional normal system."""
     if lam <= 0.0:
@@ -72,20 +88,15 @@ def fit_netcoh(adjacency, covariate, response, lam: float) -> NetcohFit:
     n = x.size
     if A.shape != (n, n) or y.shape != (n,):
         raise ValueError("adjacency, covariate, and response dimensions disagree")
-    # I + lam L written in place: the same values as that sum (up to the
-    # sign of zeros) without an n x n temporary beside the system.
-    system = np.empty((n + 1, n + 1), dtype=np.float64)
-    np.multiply(A, -lam, out=system[:n, :n])
-    system[np.diag_indices(n)] = 1.0 + lam * (A.sum(axis=1) - np.diagonal(A))
-    system[:n, n] = x
-    system[n, :n] = x
-    system[n, n] = x @ x
     rhs = np.concatenate([y, [x @ y]])
     try:
-        sol = np.linalg.solve(system, rhs)
+        # The system is symmetric, so its transpose is the same matrix in
+        # Fortran order, and dgesv factors it in place without a copy.
+        sol = _lapack("dgesv", _netcoh_system(A, x, lam).T, rhs, overwrite_a=1)[2]
     except np.linalg.LinAlgError:
         # Singular only when the slope is unidentifiable (e.g. constant x).
-        sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        # dgesv overwrote the system with its factors, so it is built again.
+        sol = np.linalg.lstsq(_netcoh_system(A, x, lam), rhs, rcond=None)[0]
     return NetcohFit(alpha=sol[:n], beta=float(sol[n]), lam=float(lam))
 
 
@@ -108,13 +119,13 @@ def default_lambda_grid() -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), DEFAULT_GRID_SIZE)
 
 
-# Every dense BLAS or LAPACK call inside a CV fold goes through scipy. numpy
-# and scipy each load their own OpenBLAS with its own thread pool; when calls
-# alternate between the two, the idle workers of one pool spin and take CPU
-# from the other. On 2 cores a CV call at n = 1000 took 0.80 s (median of 7)
-# with numpy doing the fold's harmonic solve and products, and 0.39 s with
-# scipy only. fit_netcoh keeps its numpy solve, so its results stay
-# bit-for-bit what they were.
+# Every dense BLAS or LAPACK call on the hot paths goes through scipy: inside
+# a CV fold, in the fit_netcoh refit and in the Lanczos products of
+# community._leading_eigenpairs (ARPACK itself is scipy's). numpy and scipy
+# each load their own OpenBLAS with its own thread pool; when calls alternate
+# between the two, the idle workers of one pool spin and take CPU from the
+# other. On 2 cores a CV call at n = 1000 took 0.80 s (median of 7) with numpy
+# doing the fold's harmonic solve and products, and 0.39 s with scipy only.
 
 
 def _lapack(routine: str, *args, **kwargs) -> list:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from .baseline import cv_select_lambda, fit_netcoh
-from .community import Membership, detect_communities, estimate_k
+from .community import Membership, detect_communities, estimate_k, kmeans
 from .graph import (
     SbmParams,
     load_edge_list,
@@ -88,7 +88,11 @@ def _cmd_detect(args) -> int:
     if args.scree_out:
         scree.to_csv(args.scree_out)
     K = args.k if args.k is not None else scree.suggested_k
-    membership = detect_communities(A, K, seed=args.seed, restarts=args.restarts)
+    if K <= scree.singular_values.size:
+        # The scree's leading K eigenpairs are the embedding; no second solve.
+        membership = kmeans(scree.embedding(K), K, seed=args.seed, restarts=args.restarts)
+    else:
+        membership = detect_communities(A, K, seed=args.seed, restarts=args.restarts)
     membership.to_csv(args.out)
     flat = " (flat scree)" if scree.flat_scree else ""
     print(f"suggested K = {scree.suggested_k}{flat}; used K = {K}; wrote {args.out}")

@@ -13,8 +13,9 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 # Brute force over K! permutations up to this K; Hungarian above it.
 _EXHAUSTIVE_PERM_MAX_K = 8
@@ -135,9 +136,15 @@ def _leading_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if n <= _DENSE_EIG_MAX_N or k >= n - 1:
         vals, vecs = np.linalg.eigh(A)
     else:
+        # ARPACK runs on scipy's OpenBLAS, so its products do too (dsymv; see
+        # the note above baseline._lapack). A symmetric C-ordered A is, as
+        # A.T, the same matrix in Fortran order; any other layout is copied
+        # once here, never per product.
+        F = A.T if A.flags.c_contiguous else np.asfortranarray(A)
+        op = LinearOperator(A.shape, matvec=lambda v: blas.dsymv(1.0, F, v), dtype=np.float64)
         # Fixed start vector keeps Lanczos deterministic.
         v0 = np.full(n, 1.0 / np.sqrt(n))
-        vals, vecs = eigsh(A, k=k, which="LM", v0=v0)
+        vals, vecs = eigsh(op, k=k, which="LM", v0=v0)
     order = np.lexsort((-vals, -np.abs(vals)))[:k]
     vals = vals[order]
     vecs = vecs[:, order]
@@ -146,6 +153,20 @@ def _leading_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         if vecs[pivot, j] < 0:
             vecs[:, j] = -vecs[:, j]
     return vals, vecs
+
+
+def _embedding(vals: np.ndarray, vecs: np.ndarray) -> SpectralEmbedding:
+    """Row-normalize leading eigenvectors; the singular values are |vals|."""
+    if not np.all(np.isfinite(vecs)):
+        raise np.linalg.LinAlgError("eigensolver returned non-finite values")
+    norms = np.linalg.norm(vecs, axis=1)
+    zero_rows = norms <= 1e-12
+    safe = np.where(zero_rows, 1.0, norms)
+    return SpectralEmbedding(
+        vectors=vecs / safe[:, None],
+        singular_values=np.abs(vals),
+        zero_rows=zero_rows,
+    )
 
 
 def spectral_embed(adjacency, n_communities: int) -> SpectralEmbedding:
@@ -160,24 +181,29 @@ def spectral_embed(adjacency, n_communities: int) -> SpectralEmbedding:
     K = int(n_communities)
     if not 1 <= K <= n:
         raise ValueError(f"n_communities must be in [1, {n}], got {K}")
-    vals, vecs = _leading_eigenpairs(A, K)
-    if not np.all(np.isfinite(vecs)):
-        raise np.linalg.LinAlgError("eigensolver returned non-finite values")
-    norms = np.linalg.norm(vecs, axis=1)
-    zero_rows = norms <= 1e-12
-    safe = np.where(zero_rows, 1.0, norms)
-    return SpectralEmbedding(
-        vectors=vecs / safe[:, None],
-        singular_values=np.abs(vals),
-        zero_rows=zero_rows,
-    )
+    return _embedding(*_leading_eigenpairs(A, K))
 
 
 @dataclass(frozen=True)
 class ScreeResult:
+    """Leading singular values with the elbow suggestion.
+
+    ``eigenvectors`` holds the k_max eigenvectors the scree came from, so
+    ``embedding`` reuses them instead of solving again.
+    """
+
     singular_values: np.ndarray
     suggested_k: int
     flat_scree: bool
+    eigenvectors: np.ndarray = field(repr=False, compare=False)
+
+    def embedding(self, n_communities: int) -> SpectralEmbedding:
+        """What spectral_embed returns for K <= k_max, from the stored eigenpairs."""
+        K = int(n_communities)
+        k_max = self.singular_values.size
+        if not 1 <= K <= k_max:
+            raise ValueError(f"n_communities must be in [1, {k_max}], got {K}")
+        return _embedding(self.singular_values[:K], self.eigenvectors[:, :K])
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -197,14 +223,17 @@ def estimate_k(adjacency, k_max: int) -> ScreeResult:
     n = A.shape[0]
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must be in [1, {n}], got {k_max}")
-    vals, _ = _leading_eigenpairs(A, k_max)
+    vals, vecs = _leading_eigenpairs(A, k_max)
     sigma = np.abs(vals)
     if k_max == 1:
-        return ScreeResult(singular_values=sigma, suggested_k=1, flat_scree=True)
-    gaps = sigma[:-1] - sigma[1:]
-    flat = gaps.max() <= 1e-12 * max(sigma[0], 1.0)
-    suggested = 1 if flat else int(np.argmax(gaps)) + 1
-    return ScreeResult(singular_values=sigma, suggested_k=suggested, flat_scree=flat)
+        suggested, flat = 1, True
+    else:
+        gaps = sigma[:-1] - sigma[1:]
+        flat = gaps.max() <= 1e-12 * max(sigma[0], 1.0)
+        suggested = 1 if flat else int(np.argmax(gaps)) + 1
+    return ScreeResult(
+        singular_values=sigma, suggested_k=suggested, flat_scree=flat, eigenvectors=vecs
+    )
 
 
 def _kmeanspp_centers(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:

@@ -72,6 +72,11 @@ def aggregate(adjacency, covariates, membership: Membership) -> np.ndarray:
     return adjacency @ (covariates[:, :, None] * Z[:, None, :]).reshape(membership.n, -1)
 
 
+def _fitted(N, coef, membership: Membership) -> np.ndarray:
+    """Fitted values from the aggregate N: row i of N dotted with its community's coefficients."""
+    return np.einsum("ik,ik->i", N, coef[membership.labels])
+
+
 def build_design(adjacency, covariate, membership: Membership, community: int) -> np.ndarray:
     """Design matrix M_k for one response community (full n x K, zero rows kept).
 
@@ -161,7 +166,7 @@ def fit_full(adjacency, covariate, response, membership: Membership) -> FitResul
     y = _as_vector(response, membership.n, "response")
     N = aggregate(A, x[:, None], membership)
     beta, flags = _solve_per_community(N, y, membership)
-    fitted = predict(A, x, membership, beta)
+    fitted = _fitted(N, beta, membership)
     return FitResult(
         beta=beta,
         structure="full",
@@ -181,8 +186,7 @@ def predict(adjacency, covariate, membership: Membership, beta) -> np.ndarray:
     K = membership.n_communities
     if beta.shape != (K, K):
         raise ValueError(f"beta must be {K}x{K}, got {beta.shape}")
-    N = aggregate(A, x[:, None], membership)
-    return np.einsum("ik,ik->i", N, beta[membership.labels])
+    return _fitted(aggregate(A, x[:, None], membership), beta, membership)
 
 
 def loss(adjacency, covariate, response, membership: Membership, beta) -> float:
@@ -218,7 +222,7 @@ def fit_row(adjacency, covariate, response, membership: Membership) -> FitResult
     N = aggregate(A, x[:, None], membership)
     b0, deficient = solve_normal_equations(N.T @ N, N.T @ y, scale_rows=n)
     beta = np.tile(b0, (K, 1))
-    fitted = predict(A, x, membership, beta)
+    fitted = _fitted(N, beta, membership)
     return FitResult(
         beta=beta,
         structure="row",
@@ -243,7 +247,7 @@ def fit_singleton(adjacency, covariate, response, membership: Membership) -> Fit
         raise ValueError("degenerate input: x^T A^2 x is zero")
     b0 = float(v @ y) / denom
     beta = np.full((K, K), b0, dtype=np.float64)
-    fitted = predict(A, x, membership, beta)
+    fitted = _fitted(N, beta, membership)
     return FitResult(
         beta=beta,
         structure="singleton",
@@ -346,7 +350,7 @@ def fit_full_multi(adjacency, covariates, response, membership: Membership) -> M
     N = aggregate(A, X, membership)
     # Row k holds community k's coefficients in N's column order l * K + k'.
     coef, flags = _solve_per_community(N, y, membership)
-    fitted = np.einsum("ik,ik->i", N, coef[membership.labels])
+    fitted = _fitted(N, coef, membership)
     return MultiFitResult(
         beta=coef.reshape(K, p, K).transpose(0, 2, 1),
         membership=membership,

@@ -16,6 +16,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import scipy
 
 from .baseline import ablation_network, cv_select_lambda, fit_netcoh, predict_netcoh
 from .community import Membership, align_permutation, detect_communities, perturb_membership
@@ -529,6 +530,19 @@ def write_summary_csv(summary: list, path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+def _blas_build(module) -> dict | None:
+    """Name and version of the BLAS that numpy or scipy was built against.
+
+    None when the build does not report it (``show_config`` before numpy
+    1.25 and scipy 1.11 has no ``mode="dicts"``).
+    """
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def run_experiment(config: ExperimentConfig, output_dir=None) -> tuple:
     """Run an experiment and write raw.csv, summary.csv, timings.csv, meta.json."""
     from . import __version__
@@ -546,7 +560,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> tuple:
     meta = {
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
-        "versions": {"netreg": __version__, "numpy": np.__version__},
+        "versions": {"netreg": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        # numpy and scipy each load their own BLAS, so both are recorded.
+        "blas": {"numpy": _blas_build(np), "scipy": _blas_build(scipy)},
     }
     with open(os.path.join(output_dir, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

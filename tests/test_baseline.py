@@ -13,6 +13,7 @@ from netreg import (
     sample_sbm,
 )
 from netreg.baseline import DEFAULT_GRID_SIZE, default_lambda_grid
+from scipy.linalg import lapack
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -323,6 +324,50 @@ def test_cv_names_failed_lapack_routine():
     x, y = np.arange(4.0), np.ones(4)
     with pytest.raises(np.linalg.LinAlgError, match="dptsv"):
         cv_select_lambda(A, x, y, n_folds=4, grid=[1.0])
+
+
+def numpy_solve_netcoh_reference(A, x, y, lam):
+    """The refit as it was before it moved to scipy's LAPACK: numpy's solve."""
+    n = x.size
+    system = np.block([[np.eye(n) + lam * laplacian(A), x[:, None]], [x[None, :], x @ x]])
+    sol = np.linalg.solve(system, np.append(y, x @ y))
+    return sol[:n], sol[n]
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.0, 10.0])
+def test_fit_netcoh_matches_numpy_solve_reference(lam):
+    A, x, y = connected_instance(19, n=400)
+    A_before = A.copy()
+    fit = fit_netcoh(A, x, y, lam)
+    alpha, beta = numpy_solve_netcoh_reference(A, x, y, lam)
+    np.testing.assert_allclose(fit.alpha, alpha, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(fit.beta, beta, rtol=1e-12, atol=0)
+    # The system is factored in place, never the caller's matrix.
+    assert np.array_equal(A, A_before)
+
+
+def singular_netcoh_cases():
+    # x = 1 on the identity network and x = 0 on an SBM make the normal
+    # system exactly singular: the slope is unidentified.
+    rng = np.random.default_rng(20)
+    yield "identity_ones", np.eye(50), np.ones(50), rng.standard_normal(50)
+    A, _, y = connected_instance(21, n=80)
+    yield "sbm_zeros", A, np.zeros(80), y
+
+
+@pytest.mark.parametrize("case", list(singular_netcoh_cases()), ids=lambda c: c[0])
+def test_fit_netcoh_singular_fallback_is_lstsq_on_intact_system(case):
+    _, A, x, y = case
+    lam, n = 0.8, x.size
+    A_before = A.copy()
+    system = np.block([[np.eye(n) + lam * laplacian(A), x[:, None]], [x[None, :], x @ x]])
+    rhs = np.append(y, x @ y)
+    assert lapack.dgesv(system, rhs)[-1] > 0  # the fallback is really taken
+    fit = fit_netcoh(A, x, y, lam)
+    # lstsq on the factored (overwritten) system would give other numbers.
+    expected = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    assert np.array_equal(fit.alpha, expected[:n]) and fit.beta == expected[n]
+    assert np.array_equal(A, A_before)
 
 
 def test_fit_netcoh_validation():

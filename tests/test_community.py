@@ -16,7 +16,10 @@ from netreg import (
     sample_sbm,
     spectral_embed,
 )
-from netreg.community import DegenerateInputError
+from netreg import community
+from netreg.cli import main
+from netreg.community import _DENSE_EIG_MAX_N, DegenerateInputError, _leading_eigenpairs
+from netreg.graph import load_edge_list, save_edge_list
 
 
 def two_complete_blocks():
@@ -252,3 +255,87 @@ def test_membership_csv_malformed_row_names_line(tmp_path, row):
     path.write_text(f"node_id,label\n0,0\n{row}\n")
     with pytest.raises(ValueError, match=r"membership\.csv: line 3: expected integer node_id,label"):
         Membership.from_csv(path)
+
+
+def lanczos_cases():
+    """Symmetric matrices above the dense-eigensolver size, with their k."""
+    n = _DENSE_EIG_MAX_N + 100
+    rng = np.random.default_rng(41)
+    yield "sbm", sample_sbm(assortative_params(rng, n, 3), seed=42), 6
+    # Two copies of one dense weighted block: every eigenvalue is repeated.
+    W = rng.random((n // 2, n // 2))
+    W = W + W.T
+    A = np.zeros((n, n))
+    A[: n // 2, : n // 2] = W
+    A[n // 2 :, n // 2 :] = W
+    yield "repeated", A, 4
+
+
+@pytest.mark.parametrize("case", list(lanczos_cases()), ids=lambda c: c[0])
+def test_lanczos_eigenpairs_match_dense_eigh(case):
+    _, A, k = case
+    vals, vecs = _leading_eigenpairs(A, k)
+    w, V = np.linalg.eigh(A)
+    order = np.argsort(-np.abs(w))[:k]
+    np.testing.assert_allclose(vals, w[order], rtol=1e-10, atol=0)
+    # Eigenvectors are unique up to sign only where the eigenvalue is
+    # separated; a repeated eigenvalue pins down its eigenspace, so compare
+    # the projector onto the whole leading subspace as well.
+    np.testing.assert_allclose(vecs @ vecs.T, V[:, order] @ V[:, order].T, atol=1e-10)
+    lam = w[order]
+    for j in range(k):
+        if np.sum(np.isclose(lam, lam[j], rtol=1e-8)) == 1:
+            ref = V[:, order[j]]
+            sign = np.sign(ref @ vecs[:, j])
+            np.testing.assert_allclose(vecs[:, j], sign * ref, atol=1e-10)
+
+
+def test_lanczos_result_does_not_depend_on_memory_layout():
+    n = _DENSE_EIG_MAX_N + 50
+    rng = np.random.default_rng(43)
+    A = sample_sbm(assortative_params(rng, n, 3), seed=44)
+    padded = np.zeros((2 * n, 2 * n))
+    padded[::2, ::2] = A
+    layouts = [A, np.asfortranarray(A), padded[::2, ::2]]
+    assert not layouts[2].flags.c_contiguous and not layouts[2].flags.f_contiguous
+    results = [_leading_eigenpairs(M, 5) for M in layouts]
+    for vals, vecs in results[1:]:
+        assert np.array_equal(vals, results[0][0])
+        assert np.array_equal(vecs, results[0][1])
+
+
+def test_scree_embedding_equals_spectral_embed_on_dense_path():
+    rng = np.random.default_rng(45)
+    A = sample_sbm(assortative_params(rng, 120, 3), seed=46)
+    scree = estimate_k(A, 8)
+    for K in (1, 3, 8):
+        emb, ref = scree.embedding(K), spectral_embed(A, K)
+        assert np.array_equal(emb.vectors, ref.vectors)
+        assert np.array_equal(emb.singular_values, ref.singular_values)
+        assert np.array_equal(emb.zero_rows, ref.zero_rows)
+    for K in (0, 9):
+        with pytest.raises(ValueError):
+            scree.embedding(K)
+
+
+@pytest.mark.parametrize("k, k_max, solves", [(3, 8, 1), (3, 3, 1), (4, 3, 2)])
+def test_detect_solves_once_when_k_within_k_max(tmp_path, monkeypatch, k, k_max, solves):
+    n = _DENSE_EIG_MAX_N + 100
+    rng = np.random.default_rng(47)
+    params = assortative_params(rng, n, 3)
+    save_edge_list(sample_sbm(params, seed=48), tmp_path / "net.txt")
+    calls = []
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    eigsh = community.eigsh
+    monkeypatch.setattr(community, "eigsh", counting_eigsh)
+    out = tmp_path / "det.csv"
+    argv = ["detect", "--network", str(tmp_path / "net.txt"), "--n", str(n), "--k", str(k)]
+    rc = main(argv + ["--k-max", str(k_max), "--seed", "5", "--out", str(out)])
+    assert rc == 0
+    assert len(calls) == solves
+    ref = detect_communities(load_edge_list(tmp_path / "net.txt", n), k, seed=5)
+    assert np.array_equal(Membership.from_csv(out).labels, ref.labels)

@@ -315,6 +315,17 @@ def test_residuals_match_prediction():
     assert np.array_equal(fit.residuals, y - predict(A, x, m, fit.beta))
 
 
+@pytest.mark.parametrize("fitter", [fit_full, fit_row, fit_singleton])
+def test_fitted_values_equal_predict(fitter):
+    # The fitters take their fitted values from the aggregate they solved on,
+    # without calling predict; the bits must be the same as predict's.
+    A, x, m = small_instance(36, n=150, n_communities=3)
+    y = np.random.default_rng(37).standard_normal(150)
+    fit = fitter(A, x, y, m)
+    assert np.array_equal(fit.fitted, predict(A, x, m, fit.beta))
+    assert np.array_equal(fit.residuals, y - fit.fitted)
+
+
 def test_solver_min_norm_fallback():
     # Singular normal equations: duplicate columns
     H = np.array([[2.0, 2.0], [2.0, 2.0]])

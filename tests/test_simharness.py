@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from netreg import ExperimentConfig, fit_full, gen_instance, predict, run_experiment
 from netreg.metrics import estimation_error
@@ -187,6 +188,13 @@ def test_meta_and_timings_written(tmp_path):
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
     assert meta["config_hash"] == cfg.config_hash()
     assert meta["config"]["kind"] == "network_ablation"
+    assert meta["versions"]["scipy"] == scipy.__version__
+    # numpy and scipy each link their own BLAS; both builds are recorded.
+    for module in (np, scipy):
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        recorded = meta["blas"][module.__name__]
+        assert recorded == {"name": blas["name"], "version": blas["version"]}
+        assert recorded["name"] and recorded["version"]
     timings = (tmp_path / "out" / "timings.csv").read_text().splitlines()
     assert timings[0].startswith("experiment,")
     assert len(timings) == 3  # header + 2 rows
