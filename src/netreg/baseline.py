@@ -95,7 +95,11 @@ def fit_netcoh(adjacency, covariate, response, lam: float) -> NetcohFit:
         sol = _lapack("dgesv", _netcoh_system(A, x, lam).T, rhs, overwrite_a=1)[2]
     except np.linalg.LinAlgError:
         # Singular only when the slope is unidentifiable (e.g. constant x).
-        # dgesv overwrote the system with its factors, so it is built again.
+        # The traceback holds the factored system until this block ends.
+        sol = None
+    if sol is None:
+        # dgesv overwrote the system with its factors, so it is built again,
+        # after the factors are freed.
         sol = np.linalg.lstsq(_netcoh_system(A, x, lam), rhs, rcond=None)[0]
     return NetcohFit(alpha=sol[:n], beta=float(sol[n]), lam=float(lam))
 

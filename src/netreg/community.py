@@ -188,17 +188,20 @@ def spectral_embed(adjacency, n_communities: int) -> SpectralEmbedding:
 class ScreeResult:
     """Leading singular values with the elbow suggestion.
 
-    ``eigenvectors`` holds the k_max eigenvectors the scree came from, so
-    ``embedding`` reuses them instead of solving again.
+    ``estimate_k`` also keeps the k_max eigenvectors the scree came from in
+    ``eigenvectors``, so ``embedding`` reuses them instead of solving again.
+    A scree built without them has ``eigenvectors=None`` and no embedding.
     """
 
     singular_values: np.ndarray
     suggested_k: int
     flat_scree: bool
-    eigenvectors: np.ndarray = field(repr=False, compare=False)
+    eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def embedding(self, n_communities: int) -> SpectralEmbedding:
         """What spectral_embed returns for K <= k_max, from the stored eigenpairs."""
+        if self.eigenvectors is None:
+            raise ValueError("this scree holds no eigenvectors")
         K = int(n_communities)
         k_max = self.singular_values.size
         if not 1 <= K <= k_max:

@@ -166,7 +166,7 @@ def fit_full(adjacency, covariate, response, membership: Membership) -> FitResul
     y = _as_vector(response, membership.n, "response")
     N = aggregate(A, x[:, None], membership)
     beta, flags = _solve_per_community(N, y, membership)
-    fitted = _fitted(N, beta, membership)
+    fitted = predict(A, x, membership, beta, aggregates=N)
     return FitResult(
         beta=beta,
         structure="full",
@@ -178,15 +178,23 @@ def fit_full(adjacency, covariate, response, membership: Membership) -> FitResul
     )
 
 
-def predict(adjacency, covariate, membership: Membership, beta) -> np.ndarray:
-    """Model predictions ((Z beta Z^T) * A) x for a given coefficient matrix."""
+def predict(adjacency, covariate, membership: Membership, beta, aggregates=None) -> np.ndarray:
+    """Model predictions ((Z beta Z^T) * A) x for a given coefficient matrix.
+
+    ``aggregates`` is ``aggregate(A, x[:, None], membership)`` when the caller
+    already holds it (the fitters do); it is then used instead of recomputed.
+    """
     A = _check_inputs(adjacency, membership)
     x = _as_vector(covariate, membership.n, "covariate")
     beta = np.asarray(beta, dtype=np.float64)
     K = membership.n_communities
     if beta.shape != (K, K):
         raise ValueError(f"beta must be {K}x{K}, got {beta.shape}")
-    return _fitted(aggregate(A, x[:, None], membership), beta, membership)
+    if aggregates is None:
+        aggregates = aggregate(A, x[:, None], membership)
+    elif aggregates.shape != (membership.n, K):
+        raise ValueError(f"aggregates must be {membership.n}x{K}, got {aggregates.shape}")
+    return _fitted(aggregates, beta, membership)
 
 
 def loss(adjacency, covariate, response, membership: Membership, beta) -> float:
@@ -222,7 +230,7 @@ def fit_row(adjacency, covariate, response, membership: Membership) -> FitResult
     N = aggregate(A, x[:, None], membership)
     b0, deficient = solve_normal_equations(N.T @ N, N.T @ y, scale_rows=n)
     beta = np.tile(b0, (K, 1))
-    fitted = _fitted(N, beta, membership)
+    fitted = predict(A, x, membership, beta, aggregates=N)
     return FitResult(
         beta=beta,
         structure="row",
@@ -247,7 +255,7 @@ def fit_singleton(adjacency, covariate, response, membership: Membership) -> Fit
         raise ValueError("degenerate input: x^T A^2 x is zero")
     b0 = float(v @ y) / denom
     beta = np.full((K, K), b0, dtype=np.float64)
-    fitted = _fitted(N, beta, membership)
+    fitted = predict(A, x, membership, beta, aggregates=N)
     return FitResult(
         beta=beta,
         structure="singleton",

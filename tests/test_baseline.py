@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -368,6 +370,18 @@ def test_fit_netcoh_singular_fallback_is_lstsq_on_intact_system(case):
     expected = np.linalg.lstsq(system, rhs, rcond=None)[0]
     assert np.array_equal(fit.alpha, expected[:n]) and fit.beta == expected[n]
     assert np.array_equal(A, A_before)
+
+
+def test_fit_netcoh_singular_fallback_holds_one_system():
+    # The factored system is freed before the fallback builds it again. At
+    # n = 400 the system (1.3 MB) dwarfs numpy's fixed-size ufunc buffers.
+    n = 400
+    A, x, y = np.eye(n), np.ones(n), np.random.default_rng(22).standard_normal(n)
+    tracemalloc.start()
+    fit_netcoh(A, x, y, 0.8)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1.5 * (n + 1) ** 2 * 8
 
 
 def test_fit_netcoh_validation():

@@ -7,6 +7,7 @@ from conftest import assortative_params, random_membership
 from netreg import (
     Membership,
     SbmParams,
+    ScreeResult,
     align_permutation,
     detect_communities,
     estimate_k,
@@ -316,6 +317,15 @@ def test_scree_embedding_equals_spectral_embed_on_dense_path():
     for K in (0, 9):
         with pytest.raises(ValueError):
             scree.embedding(K)
+
+
+def test_scree_built_without_eigenvectors():
+    # The three fields a ScreeResult had before it kept eigenvectors still
+    # build one; only its embedding needs the vectors.
+    scree = ScreeResult(singular_values=np.array([3.0, 1.0]), suggested_k=1, flat_scree=False)
+    assert scree.eigenvectors is None
+    with pytest.raises(ValueError, match="no eigenvectors"):
+        scree.embedding(1)
 
 
 @pytest.mark.parametrize("k, k_max, solves", [(3, 8, 1), (3, 3, 1), (4, 3, 2)])

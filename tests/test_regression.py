@@ -317,13 +317,19 @@ def test_residuals_match_prediction():
 
 @pytest.mark.parametrize("fitter", [fit_full, fit_row, fit_singleton])
 def test_fitted_values_equal_predict(fitter):
-    # The fitters take their fitted values from the aggregate they solved on,
-    # without calling predict; the bits must be the same as predict's.
+    # The fitters hand predict the aggregate they solved on instead of letting
+    # it recompute one; the bits must be the same as a plain predict's.
     A, x, m = small_instance(36, n=150, n_communities=3)
     y = np.random.default_rng(37).standard_normal(150)
     fit = fitter(A, x, y, m)
     assert np.array_equal(fit.fitted, predict(A, x, m, fit.beta))
     assert np.array_equal(fit.residuals, y - fit.fitted)
+
+
+def test_predict_rejects_misshapen_aggregates():
+    A, x, m = small_instance(38, n=40, n_communities=2)
+    with pytest.raises(ValueError, match="aggregates must be 40x2"):
+        predict(A, x, m, np.ones((2, 2)), aggregates=np.ones((40, 3)))
 
 
 def test_solver_min_norm_fallback():
