@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -95,7 +96,10 @@ def _cmd_detect(args) -> int:
         membership = detect_communities(A, K, seed=args.seed, restarts=args.restarts)
     membership.to_csv(args.out)
     flat = " (flat scree)" if scree.flat_scree else ""
-    print(f"suggested K = {scree.suggested_k}{flat}; used K = {K}; wrote {args.out}")
+    print(
+        f"suggested K = {scree.suggested_k}{flat}, bulk edge {scree.bulk_edge:.6g}; "
+        f"used K = {K}; wrote {args.out}"
+    )
     return 0
 
 
@@ -153,11 +157,12 @@ def _cmd_netcoh(args) -> int:
 
 def _apply_set_overrides(data: dict, pairs) -> None:
     """--set field=value overrides; values are parsed as JSON when possible."""
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for pair in pairs or []:
         if "=" not in pair:
             raise SystemExit(f"--set expects field=value, got {pair!r}")
         key, raw = pair.split("=", 1)
-        if key not in data:
+        if key not in names:
             raise SystemExit(f"unknown config field {key!r}")
         try:
             data[key] = json.loads(raw)
@@ -165,43 +170,29 @@ def _apply_set_overrides(data: dict, pairs) -> None:
             data[key] = raw
 
 
+def _int_list(text):
+    return [int(v) for v in text.split(",")] if text else None
+
+
 def _cmd_experiment(args) -> int:
     if args.config:
-        config = ExperimentConfig.from_json(args.config)
-        overrides = {
-            "kind": args.kind,
-            "replicates": args.replicates,
-            "base_seed": args.base_seed,
-            "noise_sd": args.noise_sd,
-        }
-        data = config.to_dict()
-        for key, val in overrides.items():
-            if val is not None:
-                data[key] = val
-        if args.n_grid:
-            data["n_grid"] = [int(v) for v in args.n_grid.split(",")]
-        if args.k_grid:
-            data["k_grid"] = [int(v) for v in args.k_grid.split(",")]
-        if args.oracle_membership:
-            data["oracle_membership"] = True
-        _apply_set_overrides(data, args.set)
-        config = ExperimentConfig.from_dict(data)
+        data = ExperimentConfig.from_json(args.config).to_dict()
+    elif args.kind and args.n_grid and args.k_grid:
+        data = {}
     else:
-        if not (args.kind and args.n_grid and args.k_grid):
-            raise SystemExit("without --config, provide --kind, --n-grid, and --k-grid")
-        config = ExperimentConfig(
-            kind=args.kind,
-            n_grid=[int(v) for v in args.n_grid.split(",")],
-            k_grid=[int(v) for v in args.k_grid.split(",")],
-            replicates=args.replicates if args.replicates is not None else 200,
-            noise_sd=args.noise_sd if args.noise_sd is not None else 0.5,
-            base_seed=args.base_seed if args.base_seed is not None else 0,
-            oracle_membership=args.oracle_membership,
-        )
-        if args.set:
-            data = config.to_dict()
-            _apply_set_overrides(data, args.set)
-            config = ExperimentConfig.from_dict(data)
+        raise SystemExit("without --config, provide --kind, --n-grid, and --k-grid")
+    flags = {
+        "kind": args.kind,
+        "n_grid": _int_list(args.n_grid),
+        "k_grid": _int_list(args.k_grid),
+        "replicates": args.replicates,
+        "noise_sd": args.noise_sd,
+        "base_seed": args.base_seed,
+        "oracle_membership": args.oracle_membership or None,
+    }
+    data.update({key: val for key, val in flags.items() if val is not None})
+    _apply_set_overrides(data, args.set)
+    config = ExperimentConfig.from_dict(data)
     out_dir = args.out if args.out is not None else config.output
     if out_dir is None:
         raise SystemExit("provide --out or an 'output' field in the config")
@@ -248,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="estimate community memberships from a network")
     p.add_argument("--network", required=True, help="edge-list path")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, help="number of communities (default: elbow suggestion)")
+    p.add_argument("--k", type=int, help="number of communities (default: bulk-edge suggestion)")
     p.add_argument("--k-max", type=int, default=20, help="singular values to inspect")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=10)

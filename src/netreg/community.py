@@ -186,17 +186,20 @@ def spectral_embed(adjacency, n_communities: int) -> SpectralEmbedding:
 
 @dataclass(frozen=True)
 class ScreeResult:
-    """Leading singular values with the elbow suggestion.
+    """Leading singular values with the bulk-edge suggestion for K.
 
-    ``estimate_k`` also keeps the k_max eigenvectors the scree came from in
-    ``eigenvectors``, so ``embedding`` reuses them instead of solving again.
-    A scree built without them has ``eigenvectors=None`` and no embedding.
+    ``bulk_edge`` is the threshold the suggestion counted singular values
+    above. ``estimate_k`` also keeps the k_max eigenvectors the scree came
+    from in ``eigenvectors``, so ``embedding`` reuses them instead of solving
+    again. A scree built without them has ``eigenvectors=None`` and no
+    embedding.
     """
 
     singular_values: np.ndarray
     suggested_k: int
     flat_scree: bool
     eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
+    bulk_edge: float | None = None
 
     def embedding(self, n_communities: int) -> SpectralEmbedding:
         """What spectral_embed returns for K <= k_max, from the stored eigenpairs."""
@@ -216,11 +219,14 @@ class ScreeResult:
 
 
 def estimate_k(adjacency, k_max: int) -> ScreeResult:
-    """Leading singular values of A with an elbow-gap suggestion for K.
+    """Leading singular values of A with a bulk-edge suggestion for K.
 
-    The suggestion is argmax over k of sigma_k - sigma_{k+1} within the first
-    k_max values; it is advisory and the scree values are the primary output.
-    A flat scree (no meaningful gap) yields suggestion 1 with a flag.
+    The suggestion counts the singular values above the edge of the noise
+    bulk, 1.1 * 2 sqrt(n p (1 - p)) with p the off-diagonal edge density
+    (Lei, AoS 2016; Le & Levina, arXiv:1507.00827); it is advisory and the
+    scree values are the primary output. A count of 0 or of k_max (no
+    separation within the first k_max values) yields suggestion 1 with the
+    ``flat_scree`` flag.
     """
     A = np.asarray(adjacency, dtype=np.float64)
     n = A.shape[0]
@@ -228,14 +234,16 @@ def estimate_k(adjacency, k_max: int) -> ScreeResult:
         raise ValueError(f"k_max must be in [1, {n}], got {k_max}")
     vals, vecs = _leading_eigenpairs(A, k_max)
     sigma = np.abs(vals)
-    if k_max == 1:
-        suggested, flat = 1, True
-    else:
-        gaps = sigma[:-1] - sigma[1:]
-        flat = gaps.max() <= 1e-12 * max(sigma[0], 1.0)
-        suggested = 1 if flat else int(np.argmax(gaps)) + 1
+    p = float(np.clip((A.sum() - np.trace(A)) / max(n * (n - 1), 1), 0.0, 1.0))
+    bulk_edge = 1.1 * 2.0 * float(np.sqrt(n * p * (1.0 - p)))
+    count = int(np.count_nonzero(sigma > bulk_edge))
+    flat = count in (0, k_max)
     return ScreeResult(
-        singular_values=sigma, suggested_k=suggested, flat_scree=flat, eigenvectors=vecs
+        singular_values=sigma,
+        suggested_k=1 if flat else count,
+        flat_scree=flat,
+        eigenvectors=vecs,
+        bulk_edge=bulk_edge,
     )
 
 

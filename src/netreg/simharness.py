@@ -31,6 +31,12 @@ _EXPERIMENT_CODES = {
     "theory": 4,
 }
 _STRUCTURE_CODES = {"full": 0, "row": 1, "singleton": 2}
+# Estimators each experiment kind accepts; all of them run by default.
+_KIND_ESTIMATORS = {
+    "network_ablation": ("full", "identity_net", "complete_net", "netcoh"),
+    "coef_structure": ("full", "row", "singleton"),
+    "misspecification": ("full",),
+}
 # Sub-stream tags so instance, detection, perturbation, and CV draws never collide.
 _TAG_INSTANCE, _TAG_DETECT, _TAG_PERTURB, _TAG_NETCOH = 0, 1, 2, 3
 
@@ -158,19 +164,23 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("network_ablation", "coef_structure", "misspecification"):
+        if self.kind not in _KIND_ESTIMATORS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if list(self.n_grid) != sorted(self.n_grid):
             raise ValueError("n_grid must be ascending")
+        valid = _KIND_ESTIMATORS[self.kind]
         if self.estimators is None:
-            if self.kind == "network_ablation":
-                self.estimators = ["full", "identity_net", "complete_net", "netcoh"]
-            elif self.kind == "coef_structure":
-                self.estimators = ["full", "row", "singleton"]
-            else:
-                self.estimators = ["full"]
+            self.estimators = list(valid)
+        for estimator in self.estimators:
+            if estimator not in valid:
+                raise ValueError(f"{self.kind} runs {valid}, not estimator {estimator!r}")
+        for structure in self.structures:
+            if structure not in _STRUCTURE_CODES:
+                raise ValueError(f"unknown structure {structure!r}")
+        if self.kind == "misspecification" and any(K < 2 for K in self.k_grid):
+            raise ValueError(f"misspecification experiment needs K >= 2, got k_grid {self.k_grid}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -217,205 +227,110 @@ def _sort_key(row: ExperimentRow):
     )
 
 
-def _membership_for_fit(config: ExperimentConfig, inst: Instance, detect_seed: int) -> Membership:
-    if config.oracle_membership:
-        return inst.membership
-    return detect_communities(
-        inst.adjacency,
-        inst.membership.n_communities,
-        seed=detect_seed,
-        restarts=config.kmeans_restarts,
-    )
+def _replicates(config: ExperimentConfig):
+    """Every replicate of the configured kind as (structure, n, K, rep, coords).
 
-
-def run_network_ablation(config: ExperimentConfig) -> list:
-    """Compare the blockwise estimator against identity/complete-network
-    ablations and the network-cohesion baseline on fully synthetic data."""
-    code = _EXPERIMENT_CODES["network_ablation"]
-    rows = []
-    lambda_cache: dict = {}
-    for n in config.n_grid:
-        for K in config.k_grid:
-            for rep in range(config.replicates):
-                inst_seed = derive_seed(config.base_seed, code, n, K, rep, _TAG_INSTANCE)
-                inst = gen_instance(n, K, config.noise_sd, inst_seed)
-                Z_hat = _membership_for_fit(
-                    config, inst, derive_seed(config.base_seed, code, n, K, rep, _TAG_DETECT)
-                )
-                Q = align_permutation(Z_hat, inst.membership)
-                for estimator in config.estimators:
-                    t0 = time.perf_counter()
-                    err_est = err_pred = None
-                    status = "ok"
-                    try:
-                        if estimator == "netcoh":
-                            if config.netcoh_reuse_lambda and (n, K) in lambda_cache:
-                                nc = fit_netcoh(
-                                    inst.adjacency,
-                                    inst.covariate,
-                                    inst.response,
-                                    lambda_cache[(n, K)],
-                                )
-                            else:
-                                nc = cv_select_lambda(
-                                    inst.adjacency,
-                                    inst.covariate,
-                                    inst.response,
-                                    n_folds=config.netcoh_folds,
-                                    seed=derive_seed(
-                                        config.base_seed, code, n, K, rep, _TAG_NETCOH
-                                    ),
-                                )
-                                lambda_cache[(n, K)] = nc.lam
-                            y_hat = predict_netcoh(nc, inst.covariate)
-                            err_pred = prediction_error(y_hat, inst.response)
-                        else:
-                            if estimator == "full":
-                                net = inst.adjacency
-                            elif estimator == "identity_net":
-                                net = ablation_network("identity", n)
-                            elif estimator == "complete_net":
-                                net = ablation_network("complete", n)
-                            else:
-                                raise ValueError(f"unknown estimator {estimator!r}")
-                            fit = fit_full(net, inst.covariate, inst.response, Z_hat)
-                            err_est = estimation_error(fit.beta, inst.beta_star, Q)
-                            err_pred = prediction_error(fit.fitted, inst.response)
-                    except Exception as exc:  # failures recorded per row, run continues
-                        status = type(exc).__name__
-                    rows.append(
-                        ExperimentRow(
-                            experiment="network_ablation",
-                            estimator=estimator,
-                            structure="full",
-                            n=n,
-                            K=K,
-                            alpha_n=None,
-                            replicate=rep,
-                            seed=inst_seed,
-                            err_est=err_est,
-                            err_pred=err_pred,
-                            status=status,
-                            wall_time=time.perf_counter() - t0,
-                        )
-                    )
-    rows.sort(key=_sort_key)
-    return rows
+    ``coords`` are the replicate's ``derive_seed`` arguments: the base seed,
+    then (code, n, K, [structure code,] rep). Each draw appends its sub-stream
+    tag (after alpha_n for a perturbation).
+    """
+    code = _EXPERIMENT_CODES[config.kind]
+    by_structure = config.kind == "coef_structure"
+    for structure in config.structures if by_structure else ["full"]:
+        for n in config.n_grid:
+            for K in config.k_grid:
+                for rep in range(config.replicates):
+                    if by_structure:
+                        coords = (config.base_seed, code, n, K, _STRUCTURE_CODES[structure], rep)
+                    else:
+                        coords = (config.base_seed, code, n, K, rep)
+                    yield structure, n, K, rep, coords
 
 
 _FITTERS = {"full": fit_full, "row": fit_row, "singleton": fit_singleton}
 
 
-def run_coef_structure(config: ExperimentConfig) -> list:
-    """Cross full/row/singleton generating structures with the three fitters."""
-    code = _EXPERIMENT_CODES["coef_structure"]
-    rows = []
-    for structure in config.structures:
-        s_code = _STRUCTURE_CODES[structure]
-        for n in config.n_grid:
-            for K in config.k_grid:
-                for rep in range(config.replicates):
-                    inst_seed = derive_seed(
-                        config.base_seed, code, n, K, s_code, rep, _TAG_INSTANCE
-                    )
-                    inst = gen_instance(n, K, config.noise_sd, inst_seed, structure=structure)
-                    Z_hat = _membership_for_fit(
-                        config,
-                        inst,
-                        derive_seed(config.base_seed, code, n, K, s_code, rep, _TAG_DETECT),
-                    )
-                    Q = align_permutation(Z_hat, inst.membership)
-                    for estimator in config.estimators:
-                        t0 = time.perf_counter()
-                        err_est = err_pred = None
-                        status = "ok"
-                        try:
-                            fit = _FITTERS[estimator](
-                                inst.adjacency, inst.covariate, inst.response, Z_hat
-                            )
-                            err_est = estimation_error(fit.beta, inst.beta_star, Q)
-                            err_pred = prediction_error(fit.fitted, inst.response)
-                        except Exception as exc:
-                            status = type(exc).__name__
-                        rows.append(
-                            ExperimentRow(
-                                experiment="coef_structure",
-                                estimator=estimator,
-                                structure=structure,
-                                n=n,
-                                K=K,
-                                alpha_n=None,
-                                replicate=rep,
-                                seed=inst_seed,
-                                err_est=err_est,
-                                err_pred=err_pred,
-                                status=status,
-                                wall_time=time.perf_counter() - t0,
-                            )
-                        )
-    rows.sort(key=_sort_key)
-    return rows
-
-
-def run_misspecification(config: ExperimentConfig) -> list:
-    """Fit with increasingly perturbed planted memberships."""
-    code = _EXPERIMENT_CODES["misspecification"]
-    rows = []
-    for n in config.n_grid:
-        alpha_grid = config.alpha_grid if config.alpha_grid is not None else default_alpha_grid(n)
-        for K in config.k_grid:
-            if K < 2:
-                raise ValueError("misspecification experiment needs K >= 2")
-            for rep in range(config.replicates):
-                inst_seed = derive_seed(config.base_seed, code, n, K, rep, _TAG_INSTANCE)
-                inst = gen_instance(n, K, config.noise_sd, inst_seed)
-                for alpha_n in alpha_grid:
-                    t0 = time.perf_counter()
-                    err_est = err_pred = None
-                    status = "ok"
-                    try:
-                        Z_used = perturb_membership(
-                            inst.membership,
-                            alpha_n,
-                            seed=derive_seed(
-                                config.base_seed, code, n, K, rep, alpha_n, _TAG_PERTURB
-                            ),
-                        )
-                        fit = fit_full(inst.adjacency, inst.covariate, inst.response, Z_used)
-                        Q = align_permutation(Z_used, inst.membership)
-                        err_est = estimation_error(fit.beta, inst.beta_star, Q)
-                        err_pred = prediction_error(fit.fitted, inst.response)
-                    except Exception as exc:
-                        status = type(exc).__name__
-                    rows.append(
-                        ExperimentRow(
-                            experiment="misspecification",
-                            estimator="full",
-                            structure="full",
-                            n=n,
-                            K=K,
-                            alpha_n=alpha_n,
-                            replicate=rep,
-                            seed=inst_seed,
-                            err_est=err_est,
-                            err_pred=err_pred,
-                            status=status,
-                            wall_time=time.perf_counter() - t0,
-                        )
-                    )
-    rows.sort(key=_sort_key)
-    return rows
-
-
-_RUNNERS = {
-    "network_ablation": run_network_ablation,
-    "coef_structure": run_coef_structure,
-    "misspecification": run_misspecification,
-}
+def _errors(config, estimator, inst, Z, Q, coords, lambda_cache) -> tuple:
+    """(err_est, err_pred) of one estimator fitted on one replicate."""
+    A, x, y = inst.adjacency, inst.covariate, inst.response
+    if estimator == "netcoh":
+        cell = (x.size, inst.membership.n_communities)
+        if config.netcoh_reuse_lambda and cell in lambda_cache:
+            nc = fit_netcoh(A, x, y, lambda_cache[cell])
+        else:
+            seed = derive_seed(*coords, _TAG_NETCOH)
+            nc = cv_select_lambda(A, x, y, n_folds=config.netcoh_folds, seed=seed)
+            lambda_cache[cell] = nc.lam
+        return None, prediction_error(predict_netcoh(nc, x), y)
+    if estimator in ("identity_net", "complete_net"):
+        fit = fit_full(ablation_network(estimator.removesuffix("_net"), x.size), x, y, Z)
+    else:
+        fit = _FITTERS[estimator](A, x, y, Z)
+    return estimation_error(fit.beta, inst.beta_star, Q), prediction_error(fit.fitted, y)
 
 
 def run_rows(config: ExperimentConfig) -> list:
-    return _RUNNERS[config.kind](config)
+    """One row per estimator x replicate (x alpha_n for misspecification), sorted.
+
+    Each replicate draws its instance and fits with the planted membership
+    (``oracle_membership``), the detected one, or, for misspecification, the
+    planted one with alpha_n nodes reassigned. A failure is recorded as the
+    row's status and the run continues; when the instance draw or detection
+    fails, every row of that replicate records it.
+    """
+    rows = []
+    lambda_cache: dict = {}
+    perturbed = config.kind == "misspecification"
+    for structure, n, K, rep, coords in _replicates(config):
+        inst_seed = derive_seed(*coords, _TAG_INSTANCE)
+        prepared = "ok"
+        try:
+            inst = gen_instance(n, K, config.noise_sd, inst_seed, structure=structure)
+            if not perturbed:  # misspecification perturbs per alpha_n below
+                Z = inst.membership
+                if not config.oracle_membership:
+                    seed = derive_seed(*coords, _TAG_DETECT)
+                    Z = detect_communities(inst.adjacency, K, seed, config.kmeans_restarts)
+                Q = align_permutation(Z, inst.membership)
+        except Exception as exc:  # the replicate's rows record it, the run continues
+            prepared = type(exc).__name__
+        alphas = [None]
+        if perturbed:
+            alphas = default_alpha_grid(n) if config.alpha_grid is None else config.alpha_grid
+        for estimator in config.estimators:
+            for alpha_n in alphas:
+                t0 = time.perf_counter()
+                err_est = err_pred = None
+                status = prepared
+                if status == "ok":
+                    try:
+                        if alpha_n is not None:
+                            seed = derive_seed(*coords, alpha_n, _TAG_PERTURB)
+                            Z = perturb_membership(inst.membership, alpha_n, seed)
+                            Q = align_permutation(Z, inst.membership)
+                        err_est, err_pred = _errors(
+                            config, estimator, inst, Z, Q, coords, lambda_cache
+                        )
+                    except Exception as exc:  # failures recorded per row, run continues
+                        status = type(exc).__name__
+                rows.append(
+                    ExperimentRow(
+                        experiment=config.kind,
+                        estimator=estimator,
+                        structure=structure,
+                        n=n,
+                        K=K,
+                        alpha_n=alpha_n,
+                        replicate=rep,
+                        seed=inst_seed,
+                        err_est=err_est,
+                        err_pred=err_pred,
+                        status=status,
+                        wall_time=time.perf_counter() - t0,
+                    )
+                )
+    rows.sort(key=_sort_key)
+    return rows
 
 
 def _fmt(value) -> str:

@@ -34,9 +34,7 @@ from netreg.inference import CovarianceEstimate
 from netreg.metrics import estimation_error
 from netreg.simharness import (
     derive_seed,
-    run_coef_structure,
-    run_misspecification,
-    run_network_ablation,
+    run_rows,
     summarize,
 )
 
@@ -74,7 +72,7 @@ def ablation_summary():
         oracle_membership=True,
     )
     t0 = time.perf_counter()
-    rows = run_network_ablation(config)
+    rows = run_rows(config)
     elapsed = time.perf_counter() - t0
     return summarize(rows), elapsed, reps
 
@@ -92,7 +90,7 @@ def coef_summary():
         base_seed=0,
         oracle_membership=True,
     )
-    rows = run_coef_structure(config)
+    rows = run_rows(config)
     return summarize(rows), reps
 
 
@@ -280,7 +278,7 @@ def test_criterion_10_misspecification_monotonicity():
         noise_sd=0.5,
         base_seed=0,
     )
-    summary = summarize(run_misspecification(config))
+    summary = summarize(run_rows(config))
     means = sorted(
         (row["alpha_n"], row["err_est_mean"]) for row in summary if row["estimator"] == "full"
     )

@@ -258,6 +258,34 @@ def test_experiment_without_config(tmp_path):
     assert (out_dir / "raw.csv").exists()
 
 
+def test_experiment_flags_and_config_build_the_same_config(tmp_path):
+    config = {
+        "kind": "misspecification",
+        "n_grid": [40],
+        "k_grid": [2],
+        "replicates": 1,
+        "base_seed": 2,
+        "alpha_grid": [0, 1],
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    flags = ["--kind", "misspecification", "--n-grid", "40", "--k-grid", "2"]
+    flags += ["--replicates", "1", "--base-seed", "2"]
+    runs = {
+        "config": ["--config", str(cfg_path)],
+        "flags": [*flags, "--set", "alpha_grid=[0,1]"],
+    }
+    for name, argv in runs.items():
+        assert main(["experiment", *argv, "--out", str(tmp_path / name)]) == 0
+    metas = [json.loads((tmp_path / name / "meta.json").read_text()) for name in runs]
+    assert metas[0]["config_hash"] == metas[1]["config_hash"]
+    assert (tmp_path / "config" / "raw.csv").read_bytes() == (
+        tmp_path / "flags" / "raw.csv"
+    ).read_bytes()
+    with pytest.raises(SystemExit, match="bogus_field"):
+        main(["experiment", *flags, "--set", "bogus_field=1", "--out", str(tmp_path / "x")])
+
+
 def test_theory_check_command(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(

@@ -21,6 +21,7 @@ from netreg import community
 from netreg.cli import main
 from netreg.community import _DENSE_EIG_MAX_N, DegenerateInputError, _leading_eigenpairs
 from netreg.graph import load_edge_list, save_edge_list
+from netreg.simharness import gen_instance
 
 
 def two_complete_blocks():
@@ -135,6 +136,25 @@ def test_estimate_k_six_planted_blocks():
     A = sample_sbm(SbmParams(membership=m, block_probs=B), seed=3)
     res = estimate_k(A, 12)
     assert res.suggested_k == 6
+
+
+@pytest.mark.parametrize(
+    "source, K", [("planted_n2000", 4), ("gen_instance_n1000", 2), ("gen_instance_n1000", 3)]
+)
+def test_estimate_k_counts_singular_values_above_bulk_edge(source, K):
+    if source == "planted_n2000":
+        # p_in 0.5, p_out 0.1: the degree eigenvalue (~400) stands far above
+        # the three community ones (~200), which defeats a largest-gap rule.
+        m = random_membership(np.random.default_rng(2), 2000, K)
+        B = np.full((K, K), 0.1) + 0.4 * np.eye(K)
+        networks = [sample_sbm(SbmParams(membership=m, block_probs=B), seed=3)]
+    else:
+        networks = [gen_instance(1000, K, 0.5, seed).adjacency for seed in range(6)]
+    for A in networks:
+        res = estimate_k(A, 20)
+        assert res.suggested_k == K
+        assert not res.flat_scree
+        assert res.singular_values[K - 1] > res.bulk_edge > res.singular_values[K]
 
 
 def test_align_identity_and_swap():

@@ -8,14 +8,14 @@ import scipy
 
 from netreg import ExperimentConfig, fit_full, gen_instance, predict, run_experiment
 from netreg import simharness
-from netreg.metrics import estimation_error
+from netreg.baseline import ablation_network, cv_select_lambda, predict_netcoh
+from netreg.community import align_permutation, detect_communities, perturb_membership
+from netreg.metrics import estimation_error, prediction_error
+from netreg.regression import fit_row, fit_singleton
 from netreg.simharness import (
     default_alpha_grid,
     derive_seed,
     eigenvalue_lower_bound,
-    run_coef_structure,
-    run_misspecification,
-    run_network_ablation,
     run_rows,
     run_theory_checks,
     write_raw_csv,
@@ -85,7 +85,7 @@ def _tiny_ablation_config(**overrides):
 
 
 def test_network_ablation_rows():
-    rows = run_network_ablation(_tiny_ablation_config())
+    rows = run_rows(_tiny_ablation_config())
     assert len(rows) == 2 * 4  # replicates x estimators
     by_est = {}
     for r in rows:
@@ -110,7 +110,7 @@ def test_coef_structure_rows():
         base_seed=3,
         oracle_membership=True,
     )
-    rows = run_coef_structure(cfg)
+    rows = run_rows(cfg)
     assert len(rows) == 3 * 3 * 2  # structures x estimators x replicates
     cells = {(r.structure, r.estimator) for r in rows}
     assert len(cells) == 9
@@ -127,7 +127,7 @@ def test_misspecification_alpha_zero_matches_clean_fit():
         base_seed=11,
         alpha_grid=[0, 2],
     )
-    rows = run_misspecification(cfg)
+    rows = run_rows(cfg)
     clean = [r for r in rows if r.alpha_n == 0]
     assert len(clean) == 2
     for r in clean:
@@ -138,11 +138,86 @@ def test_misspecification_alpha_zero_matches_clean_fit():
 
 
 def test_misspecification_requires_k_at_least_two():
-    cfg = ExperimentConfig(
-        kind="misspecification", n_grid=[30], k_grid=[1], replicates=1, base_seed=0
-    )
     with pytest.raises(ValueError):
-        run_misspecification(cfg)
+        ExperimentConfig(
+            kind="misspecification", n_grid=[30], k_grid=[1], replicates=1, base_seed=0
+        )
+
+
+@pytest.mark.parametrize(
+    "kind, field, value, bad",
+    [
+        ("coef_structure", "structures", ["full", "diag"], "diag"),
+        ("network_ablation", "estimators", ["full", "row"], "row"),
+        ("coef_structure", "estimators", ["netcoh"], "netcoh"),
+        ("misspecification", "estimators", ["row", "netcoh"], "row"),
+    ],
+    ids=["coef_structure_diag", "ablation_row", "coef_netcoh", "misspec_row_netcoh"],
+)
+def test_config_rejects_what_the_loop_cannot_run(kind, field, value, bad):
+    with pytest.raises(ValueError, match=repr(bad)):
+        ExperimentConfig(kind=kind, n_grid=[20], k_grid=[2], replicates=1, **{field: value})
+
+
+def test_replicate_that_cannot_be_prepared_is_recorded():
+    # n = 10 nodes rarely fill 8 communities: some draws give up and raise.
+    cfg = ExperimentConfig(
+        kind="coef_structure", n_grid=[10], k_grid=[8], replicates=3, base_seed=1
+    )
+    rows = run_rows(cfg)
+    assert len(rows) == 3 * 3 * 3  # structures x estimators x replicates
+    failed = [r for r in rows if r.status != "ok"]
+    assert failed and all(r.status == "RuntimeError" for r in failed)
+    for r in failed:
+        assert r.err_est is None and r.err_pred is None
+        same_replicate = [
+            q for q in rows if (q.structure, q.replicate) == (r.structure, r.replicate)
+        ]
+        assert {q.status for q in same_replicate} == {"RuntimeError"}
+    assert any(r.status == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("kind", ["network_ablation", "coef_structure", "misspecification"])
+def test_rows_match_direct_computation(kind):
+    """Recompute every row from its seed coordinates: (base_seed, kind code,
+    n, K, [structure code,] replicate, [alpha_n,] tag) with tags instance 0,
+    detection 1, perturbation 2 and cohesion CV 3."""
+    cfg = ExperimentConfig(
+        kind=kind, n_grid=[30, 40], k_grid=[2, 3], replicates=2, base_seed=13, alpha_grid=[0, 3]
+    )
+    code = {"network_ablation": 1, "coef_structure": 2, "misspecification": 3}[kind]
+    structure_code = {"full": 0, "row": 1, "singleton": 2}
+    fitters = {"full": fit_full, "row": fit_row, "singleton": fit_singleton}
+    rows = run_rows(cfg)
+    per_replicate = {"network_ablation": 4, "coef_structure": 3 * 3, "misspecification": 2}
+    assert len(rows) == 2 * 2 * 2 * per_replicate[kind]
+    for r in rows:
+        assert r.status == "ok"
+        coords = [cfg.base_seed, code, r.n, r.K, r.replicate]
+        if kind == "coef_structure":
+            coords.insert(4, structure_code[r.structure])
+        assert r.seed == derive_seed(*coords, 0)
+        inst = gen_instance(r.n, r.K, cfg.noise_sd, r.seed, structure=r.structure)
+        A, x, y = inst.adjacency, inst.covariate, inst.response
+        if kind == "misspecification":
+            seed = derive_seed(*coords, r.alpha_n, 2)
+            Z = perturb_membership(inst.membership, r.alpha_n, seed=seed)
+        else:
+            seed = derive_seed(*coords, 1)
+            Z = detect_communities(A, r.K, seed=seed, restarts=cfg.kmeans_restarts)
+        Q = align_permutation(Z, inst.membership)
+        if r.estimator == "netcoh":
+            nc = cv_select_lambda(A, x, y, n_folds=cfg.netcoh_folds, seed=derive_seed(*coords, 3))
+            expected = (None, prediction_error(predict_netcoh(nc, x), y))
+        else:
+            if r.estimator in ("identity_net", "complete_net"):
+                A = ablation_network(r.estimator.split("_")[0], r.n)
+            fit = fitters.get(r.estimator, fit_full)(A, x, y, Z)
+            expected = (
+                estimation_error(fit.beta, inst.beta_star, Q),
+                prediction_error(fit.fitted, y),
+            )
+        assert (r.err_est, r.err_pred) == expected
 
 
 def test_rerun_is_byte_identical(tmp_path):
