@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import blas, lapack
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -85,9 +84,8 @@ def fit_netcoh(adjacency, covariate, response, lam: float) -> NetcohFit:
     A = np.asarray(adjacency, dtype=np.float64)
     x = np.asarray(covariate, dtype=np.float64)
     y = np.asarray(response, dtype=np.float64)
+    _check_inputs(A, x, y)
     n = x.size
-    if A.shape != (n, n) or y.shape != (n,):
-        raise ValueError("adjacency, covariate, and response dimensions disagree")
     rhs = np.concatenate([y, [x @ y]])
     try:
         # The system is symmetric, so its transpose is the same matrix in
@@ -123,13 +121,16 @@ def default_lambda_grid() -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), DEFAULT_GRID_SIZE)
 
 
-# Every dense BLAS or LAPACK call on the hot paths goes through scipy: inside
-# a CV fold, in the fit_netcoh refit and in the Lanczos products of
-# community._leading_eigenpairs (ARPACK itself is scipy's). numpy and scipy
-# each load their own OpenBLAS with its own thread pool; when calls alternate
-# between the two, the idle workers of one pool spin and take CPU from the
-# other. On 2 cores a CV call at n = 1000 took 0.80 s (median of 7) with numpy
-# doing the fold's harmonic solve and products, and 0.39 s with scipy only.
+# Every dense BLAS or LAPACK call on the hot paths goes through scipy: the
+# cohesion CV's Lanczos products (dgemm), tridiagonal eigensolves (dstev) and
+# held-out solves (dposv), the fit_netcoh refit (dgesv) and the Lanczos
+# products of community._leading_eigenpairs (ARPACK itself is scipy's). The
+# CV's other contractions are numpy einsum, which calls no BLAS. numpy and
+# scipy each load their own OpenBLAS with its own thread pool; when calls
+# alternate between the two, the idle workers of one pool spin and take CPU
+# from the other. On 2 cores an earlier form of the CV took 0.80 s at
+# n = 1000 (median of 7) with numpy doing part of each fold's products, and
+# 0.39 s with scipy only.
 
 
 def _lapack(routine: str, *args, **kwargs) -> list:
@@ -140,85 +141,212 @@ def _lapack(routine: str, *args, **kwargs) -> list:
     return out
 
 
-def _apply_q(trans: str, reflectors: np.ndarray, tau: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Q C (trans "N") or Q^T C (trans "T") for Householder reflectors in QR storage."""
-    lwork = int(_lapack("dormqr", "L", trans, reflectors, tau, C, -1)[1][0])
-    return _lapack("dormqr", "L", trans, reflectors, tau, C, lwork)[0]
+def _check_inputs(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise ValueError unless A is finite, symmetric and n x n, and x, y are finite n-vectors."""
+    if x.ndim != 1:
+        raise ValueError(f"covariate must be a vector, got shape {x.shape}")
+    n = x.size
+    if A.shape != (n, n):
+        raise ValueError(f"adjacency must be {n} x {n} to match the covariate, got shape {A.shape}")
+    if y.shape != (n,):
+        raise ValueError(f"response must have shape ({n},) to match the covariate, got {y.shape}")
+    for name, values in (("adjacency", A), ("covariate", x), ("response", y)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} has non-finite entries")
+    if not np.array_equal(A, A.T):
+        raise ValueError("adjacency must be symmetric")
 
 
-def _harmonic_operator(A: np.ndarray, deg: np.ndarray, train: np.ndarray, held: np.ndarray):
-    """Precompute the held-out intercept rule alpha_h = Op @ alpha_t.
+# A Lanczos run stops once the Galerkin residual of every grid lambda is below
+# this, relative to the right-hand side. I + lam L_tt >= I, so the residual
+# also bounds the relative error of the run's solutions.
+_LANCZOS_RTOL = 1e-13
+# Basis steps allocated at a time; runs on the paper's networks take 20-31.
+_LANCZOS_CHUNK = 32
 
-    Minimizing alpha^T L alpha over held coordinates gives
-    L_hh alpha_h = A_ht alpha_t. Connected components of the held-out
-    subgraph with no edge into the training set are ungrounded: their block
-    of L_hh is singular and they fall back to the training mean. ``deg`` is
-    the degree vector of the whole graph, so L_hh is built without L.
+
+def _lanczos(A_f, rhs, mask, deg, held, lambdas):
+    """Lanczos for many training Laplacians at once, one product with A per step.
+
+    Run r solves (I + lam L_r) s = rhs[r] for every grid lambda. For a v that
+    is zero off the run's training nodes (mask[r] = 1), L_r v =
+    deg[r] v - mask[r] (A v) is the training subgraph's Laplacian, where deg[r]
+    = A mask[r]; one dgemm of A_f (A in Fortran order) with the block of
+    current basis vectors advances every run. The held-out rows ``held[r]`` of
+    each product A v are kept for the harmonic extension.
+
+    For each lambda the LDL^T pivots of I + lam T_m, d_1 = 1 + lam a_1 and
+    d_k = 1 + lam a_k - (lam b_{k-1})^2 / d_{k-1}, and the relative Galerkin
+    residual lam b_m prod_{k<m} lam b_k / prod_{k<=m} d_k update in O(1) per
+    step. A run stops when that residual is below _LANCZOS_RTOL for every
+    lambda, when b_m vanishes against |L_r v_m| (the Krylov space is
+    invariant, so the answer is exact) or when the basis spans the training
+    set. A pivot <= 0 means I + lam L_r is not positive definite.
+
+    Returns the bases (runs x steps x n), the kept rows of A V (runs x steps x
+    held), the tridiagonals' diagonals a and off-diagonals b, the norms of the
+    right-hand sides and every run's step count.
     """
+    runs, n = rhs.shape
+    cap = _LANCZOS_CHUNK
+    V = np.empty((runs, cap, n))
+    AV_held = np.empty((runs, cap, held.shape[1]))
+    a_diag = np.empty((runs, cap))
+    b_off = np.empty((runs, cap))
+    steps = np.zeros(runs, dtype=np.intp)
+    size = np.count_nonzero(mask, axis=1)
+    norm = np.sqrt(np.einsum("rn,rn->r", rhs, rhs))
+    # A zero right-hand side starts from v = 0: a = b = 0, and the run ends
+    # after one step with the exact solution s = 0. A run that has ended
+    # continues with v = 0, so the block keeps its shape.
+    v = rhs / np.where(norm > 0.0, norm, 1.0)[:, None]
+    v_prev = np.zeros_like(v)
+    b_prev = np.zeros(runs)
+    pivot = np.ones((runs, lambdas.size))
+    gain = np.ones((runs, lambdas.size))
+    for k in range(n):
+        if k == cap:
+            cap += _LANCZOS_CHUNK
+            V, AV_held, a_diag, b_off = (
+                np.concatenate((arr, np.empty((runs, _LANCZOS_CHUNK, *arr.shape[2:]))), axis=1)
+                for arr in (V, AV_held, a_diag, b_off)
+            )
+        V[:, k] = v
+        Av = blas.dgemm(1.0, A_f, v.T).T
+        AV_held[:, k] = np.take_along_axis(Av, held, axis=1)
+        w = deg * v - mask * Av
+        a = np.einsum("rn,rn->r", v, w)
+        lv_norm = np.sqrt(np.einsum("rn,rn->r", w, w))
+        w -= a[:, None] * v + b_prev[:, None] * v_prev
+        # Full reorthogonalisation against the run's own basis, twice.
+        for _ in range(2):
+            w -= np.einsum("rkn,rk->rn", V[:, : k + 1], np.einsum("rkn,rn->rk", V[:, : k + 1], w))
+        b = np.sqrt(np.einsum("rn,rn->r", w, w))
+        a_diag[:, k], b_off[:, k] = a, b
+
+        coupling = lambdas * b_prev[:, None]
+        pivot = 1.0 + lambdas * a[:, None] - coupling * coupling / pivot
+        if not (pivot > 0.0).all():
+            r, j = np.unravel_index(np.argmin(pivot), pivot.shape)
+            raise np.linalg.LinAlgError(
+                f"I + lam L of a CV training subgraph is not positive definite at "
+                f"lam = {lambdas[j]:.6g} (Lanczos pivot {pivot[r, j]:.6g}); "
+                "are some edge weights negative?"
+            )
+        gain = gain * (coupling if k else 1.0) / pivot
+        done = (
+            (lambdas * b[:, None] * gain <= _LANCZOS_RTOL).all(axis=1)
+            | (b <= 1e-13 * lv_norm)
+            | (k + 1 >= size)
+        )
+        steps[(steps == 0) & done] = k + 1
+        if steps.all():
+            break
+        b_prev = np.where(steps == 0, b, 0.0)
+        v_prev, v = v, w / np.where(steps == 0, b, np.inf)[:, None]
+    return V, AV_held, a_diag, b_off, norm, steps
+
+
+def _shifted_coefficients(a, b, norm, lambdas):
+    """Coefficients of a run's solution s(lam) = V C(lam) and of rhs - s(lam) = V D(lam).
+
+    With T = tridiag(b, a, b) = W diag(theta) W^T, the columns are
+    C(lam) = W diag(1 / (1 + lam theta)) W^T e_1 norm and
+    D(lam) = W diag(lam theta / (1 + lam theta)) W^T e_1 norm, one per lambda.
+    D is formed directly, without the cancellation in norm e_1 - C, because
+    the slope's denominator x^T (x_t - s_x) can be a tiny part of x^T x.
+    """
+    theta, W = _lapack("dstev", a, b)
+    shift = np.outer(theta, lambdas)
+    coef = (W[0] * norm)[:, None] / (1.0 + shift)
+    return blas.dgemm(1.0, W, coef), blas.dgemm(1.0, W, coef * shift)
+
+
+def _grounded(A: np.ndarray, held: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """Held-out nodes whose component of the held-out subgraph has an edge into the training set.
+
+    ``boundary`` is each held-out node's edge weight into the training set.
+    The block of L_hh on the other (ungrounded) components is singular.
+    """
+    touches = boundary > 0
+    if touches.all():
+        return touches
     _, comp = connected_components(csr_matrix(A[np.ix_(held, held)]), directed=False)
-    boundary = A[np.ix_(held, train)]
-    grounded = np.bincount(comp, weights=boundary.sum(axis=1) > 0)[comp] > 0
-    if not grounded.any():
-        return grounded, None
-    hg = held[grounded]
-    L_gg = -A[np.ix_(hg, hg)]
-    L_gg[np.diag_indices_from(L_gg)] += deg[hg]
-    # Each grounded component's block is an irreducibly diagonally dominant
-    # M-matrix, hence positive definite.
-    op = scipy.linalg.solve(L_gg, boundary[grounded], assume_a="pos")
-    return grounded, op
+    return np.bincount(comp, weights=touches)[comp] > 0
 
 
-def _fold_sq_err(A, deg, x, y, train, held, lambdas):
-    """Held-out squared error of every lambda on one fold, and the ungrounded count.
+def _pass_sq_err(A, A_f, deg, x, y, folds, lambdas):
+    """Held-out squared error of every lambda summed over some folds, and their ungrounded count.
 
-    The training fit solves (I + lam L_tt) [s_x, s_y] = [x_t, y_t] for every
-    lambda. One Householder reduction L_tt = Q T Q^T (dsytrd) turns each of
-    those into a positive definite tridiagonal solve (dptsv) in the Q basis,
-    so no eigenvector is formed; Q is applied once on the way in and once, to
-    all lambdas' intercepts together, on the way out (dormqr).
+    Each fold's training fit solves (I + lam L_tt) [s_x, s_y] = [x_t, y_t]
+    for every lambda; both solutions of every fold come from one Lanczos pass
+    (see _lanczos), as s(lam) = V C(lam), with x_t - s_x = V_x D_x and
+    y_t - s_y = V_y D_y. Then
+    beta = x^T (y_t - s_y) / x^T (x_t - s_x) = (x^T V_y) D_y / (x^T V_x) D_x,
+    alpha_t = s_y - beta s_x, and the training mean comes from (1^T V) C.
+    The harmonic extension L_gg alpha_g = A_gt alpha_t of the grounded
+    held-out nodes g is, since A_gt s = (A V)[g] C, one SPD solve for the
+    kept rows of A V.
     """
-    t, m = train.size, lambdas.size
-    xt, yt = x[train], y[train]
-    # An isolated node appended to the training graph, with x = y = 0 on it,
-    # is decoupled from the rest and changes no training solution; it keeps
-    # the off-diagonal and reflector arrays non-empty when t = 1.
-    L = laplacian(np.pad(A[np.ix_(train, train)], (0, 1)))
-    lwork = int(_lapack("dsytrd_lwork", t + 1, lower=1)[0])
-    # L is symmetric, so L.T is the same matrix in Fortran order and dsytrd
-    # reduces it in place.
-    c, d, e, tau = _lapack("dsytrd", L.T, lower=1, lwork=lwork, overwrite_a=1)
-    # In lower storage Q = diag(1, Q1), where Q1 is the product of the
-    # reflectors below the subdiagonal, stored as a QR factorization stores
-    # its Q.
-    reflectors = c[1:, :-1]
-    U = np.zeros((t + 1, 2), order="F")
-    U[:t, 0], U[:t, 1] = xt, yt
-    U[1:] = _apply_q("T", reflectors, tau, U[1:])
-    S_x = np.empty((t + 1, m), order="F")
-    S_y = np.empty((t + 1, m), order="F")
-    for j, lam in enumerate(lambdas):
-        S = _lapack("dptsv", 1.0 + lam * d, lam * e, U)[2]
-        S_x[:, j], S_y[:, j] = S[:, 0], S[:, 1]
+    n, nf = x.size, len(folds)
+    train = np.ones((n, nf), order="F")
+    for f, held in enumerate(folds):
+        train[held, f] = 0.0
+    # Training degrees; on a held-out node, its edge weight into the training set.
+    deg_t = blas.dgemm(1.0, A_f, train)
+    mask = np.tile(train.T, (2, 1))
+    held_rows = np.zeros((2 * nf, max(h.size for h in folds)), dtype=np.intp)
+    for f, held in enumerate(folds):
+        held_rows[f, : held.size] = held_rows[nf + f, : held.size] = held
+    rhs = mask * np.repeat(np.stack((x, y)), nf, axis=0)
+    V, AV_held, a_diag, b_off, norm, steps = _lanczos(
+        A_f, rhs, mask, np.tile(deg_t.T, (2, 1)), held_rows, lambdas
+    )
+    x_one = np.stack((x, np.ones(n)))
+    sq_err = np.zeros(lambdas.size)
+    ungrounded = 0
+    for f, held in enumerate(folds):
+        runs = (f, nf + f)
+        (C_x, D_x), (C_y, D_y) = (
+            _shifted_coefficients(
+                a_diag[r, : steps[r]], b_off[r, : max(steps[r] - 1, 1)], norm[r], lambdas
+            )
+            for r in runs
+        )
+        # x^T V and 1^T V of both runs.
+        (xV_x, oneV_x), (xV_y, oneV_y) = (
+            np.einsum("kn,pn->pk", V[r, : steps[r]], x_one) for r in runs
+        )
+        denom = np.einsum("k,kq->q", xV_x, D_x)
+        num = np.einsum("k,kq->q", xV_y, D_y)
+        beta = np.zeros(lambdas.size)
+        identified = denom > 1e-12 * max(norm[f] ** 2, 1.0)
+        beta[identified] = num[identified] / denom[identified]
 
-    # beta and the intercepts (I + lam L_tt)^-1 (y_t - beta x_t), in the Q basis.
-    xTx, xTy = blas.ddot(xt, xt), blas.ddot(xt, yt)
-    denom = xTx - blas.dgemv(1.0, S_x, U[:, 0], trans=1)
-    num = xTy - blas.dgemv(1.0, S_y, U[:, 0], trans=1)
-    beta = np.zeros(m)
-    identified = denom > 1e-12 * max(xTx, 1.0)
-    beta[identified] = num[identified] / denom[identified]
-    W = S_y - S_x * beta
-    W[1:] = _apply_q("N", reflectors, tau, W[1:])
-    alpha_t = W[:t]
-
-    grounded, op = _harmonic_operator(A, deg, train, held)
-    alpha_h = np.empty((held.size, m))
-    alpha_h[:] = alpha_t.mean(axis=0)
-    if op is not None:
-        alpha_h[grounded] = blas.dgemm(1.0, op, alpha_t)
-    resid = y[held][:, None] - (alpha_h + np.outer(x[held], beta))
-    return (resid * resid).sum(axis=0), int(held.size - np.count_nonzero(grounded))
+        # Ungrounded held-out nodes take the training mean of alpha_t.
+        alpha_h = np.empty((held.size, lambdas.size))
+        alpha_h[:] = (
+            np.einsum("k,kq->q", oneV_y, C_y) - beta * np.einsum("k,kq->q", oneV_x, C_x)
+        ) / (n - held.size)
+        grounded = _grounded(A, held, deg_t[held, f])
+        if grounded.any():
+            hg = held[grounded]
+            L_gg = -A[np.ix_(hg, hg)]
+            L_gg[np.diag_indices_from(L_gg)] += deg[hg]
+            rows = np.concatenate([AV_held[r, : steps[r], : held.size][:, grounded] for r in runs])
+            # L_gg is symmetric, so L_gg.T, like rows.T, is in Fortran order
+            # and dposv reads both without a copy. Each grounded component's
+            # block is an irreducibly diagonally dominant M-matrix, hence
+            # positive definite.
+            Z = _lapack("dposv", L_gg.T, rows.T, overwrite_a=1)[1]
+            m_x = steps[f]
+            alpha_h[grounded] = blas.dgemm(1.0, Z[:, m_x:], C_y) - beta * blas.dgemm(
+                1.0, Z[:, :m_x], C_x
+            )
+        resid = y[held][:, None] - (alpha_h + np.outer(x[held], beta))
+        sq_err += np.einsum("gq,gq->q", resid, resid)
+        ungrounded += held.size - int(np.count_nonzero(grounded))
+    return sq_err, ungrounded
 
 
 def cv_select_lambda(
@@ -235,33 +363,42 @@ def cv_select_lambda(
     lambda the model is fitted on the training subgraph, training intercepts
     are harmonically extended to the held-out nodes, and the held-out squared
     error is accumulated; the winner minimizes the mean held-out error (ties
-    to the smallest lambda). Per fold the training Laplacian is reduced once
-    to tridiagonal form, and every lambda costs one tridiagonal solve with
-    two right-hand sides instead of a dense solve or an eigendecomposition.
-    Held-out nodes in components with no edge into the training set take the
-    training mean; ``notes["ungrounded_held_out"]`` counts them over folds.
+    to the smallest lambda). Krylov spaces are invariant under shifts, so one
+    Lanczos run per right-hand side (x_t and y_t of each fold) serves every
+    lambda; all runs advance together by one product of A with a block of
+    vectors per step, and the training Laplacians are never formed. A pass
+    holds up to max(5, n // 32) folds, so the bases stay near twice the size
+    of A. Held-out nodes in components with no edge into the training set
+    take the training mean; ``notes["ungrounded_held_out"]`` counts them over
+    folds. Raises LinAlgError when some I + lam L_tt is not positive definite
+    (negative edge weights).
     """
     A = np.asarray(adjacency, dtype=np.float64)
     x = np.asarray(covariate, dtype=np.float64)
     y = np.asarray(response, dtype=np.float64)
+    _check_inputs(A, x, y)
     n = x.size
     if not 2 <= n_folds <= n:
         raise ValueError(f"n_folds must be in [2, {n}], got {n_folds}")
     lambdas = default_lambda_grid() if grid is None else np.asarray(grid, dtype=np.float64)
     if np.any(lambdas <= 0.0):
         raise ValueError("all grid values must be positive")
+    # A is symmetric, so A.T is A in Fortran order, and dgemm reads it without
+    # a copy; any other layout is copied once here, never per product.
+    A_f = A.T if A.flags.c_contiguous else np.asfortranarray(A)
     deg = A.sum(axis=1)
     rng = np.random.default_rng(seed)
-    folds = np.array_split(rng.permutation(n), n_folds)
+    folds = [np.sort(fold) for fold in np.array_split(rng.permutation(n), n_folds)]
+    per_pass = max(5, n // _LANCZOS_CHUNK)
     total_sq_err = np.zeros(lambdas.size)
     ungrounded = 0
-    for fold in folds:
-        held = np.sort(fold)
-        train = np.setdiff1d(np.arange(n), held)
-        # The fold's arrays are freed on return, before the refit below.
-        sq_err, fold_ungrounded = _fold_sq_err(A, deg, x, y, train, held, lambdas)
+    for start in range(0, n_folds, per_pass):
+        # The pass's bases are freed on return, before the refit below.
+        sq_err, pass_ungrounded = _pass_sq_err(
+            A, A_f, deg, x, y, folds[start : start + per_pass], lambdas
+        )
         total_sq_err += sq_err
-        ungrounded += fold_ungrounded
+        ungrounded += pass_ungrounded
     cv_errors = total_sq_err / n
     best = int(np.argmin(cv_errors))
     fit = fit_netcoh(A, x, y, float(lambdas[best]))

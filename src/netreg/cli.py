@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from .simharness import ExperimentConfig, run_experiment, run_theory_checks
 
 
 def _read_column_csv(path) -> np.ndarray:
-    """Single-column CSV of floats after an optional non-numeric header; no gaps."""
+    """Single-column CSV of finite floats after an optional non-numeric header; no gaps."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().rstrip().splitlines()
@@ -34,11 +35,14 @@ def _read_column_csv(path) -> np.ndarray:
         if not token:
             raise ValueError(f"{path}: line {idx + 1} has no value")
         try:
-            values.append(float(token))
+            value = float(token)
         except ValueError:
             if idx == 0:
                 continue
             raise ValueError(f"{path}: line {idx + 1}: non-numeric value {token!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {idx + 1}: non-finite value {token!r}")
+        values.append(value)
     return np.array(values, dtype=np.float64)
 
 
@@ -174,9 +178,17 @@ def _int_list(text):
     return [int(v) for v in text.split(",")] if text else None
 
 
+def _config_or_exit(build, source) -> ExperimentConfig:
+    """Build an ExperimentConfig; a bad one exits with a one-line message."""
+    try:
+        return build(source)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"bad experiment config: {exc}") from None
+
+
 def _cmd_experiment(args) -> int:
     if args.config:
-        data = ExperimentConfig.from_json(args.config).to_dict()
+        data = _config_or_exit(ExperimentConfig.from_json, args.config).to_dict()
     elif args.kind and args.n_grid and args.k_grid:
         data = {}
     else:
@@ -192,7 +204,7 @@ def _cmd_experiment(args) -> int:
     }
     data.update({key: val for key, val in flags.items() if val is not None})
     _apply_set_overrides(data, args.set)
-    config = ExperimentConfig.from_dict(data)
+    config = _config_or_exit(ExperimentConfig.from_dict, data)
     out_dir = args.out if args.out is not None else config.output
     if out_dir is None:
         raise SystemExit("provide --out or an 'output' field in the config")

@@ -9,6 +9,7 @@ one non-deterministic output.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -187,6 +188,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """Build a config; unknown fields are named in a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(data).__name__}")
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config fields {unknown}")
         return cls(**data)
 
     @classmethod

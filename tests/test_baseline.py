@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assortative_params
 from netreg import (
@@ -157,11 +159,11 @@ def test_cv_selects_grid_minimum():
 
 
 def test_cv_error_matches_direct_computation():
-    # The CV sweep solves the training fit through a tridiagonal reduction of
-    # the training Laplacian and a precomputed harmonic operator; both must
-    # agree with the direct route: fit on the training subgraph, then solve
-    # the held-out Laplacian block. Connected instance, so every held-out
-    # component is grounded.
+    # The CV sweep solves the training fit by shifted Lanczos on the training
+    # Laplacian and the harmonic extension through the Lanczos products; both
+    # must agree with the direct route: fit on the training subgraph, then
+    # solve the held-out Laplacian block. Connected instance, so every
+    # held-out component is grounded.
     A, x, y = connected_instance(20)
     n, lam = 60, 0.37
     fit = cv_select_lambda(A, x, y, n_folds=3, seed=5, grid=[lam])
@@ -234,7 +236,7 @@ def eigh_cv_reference(A, x, y, n_folds, seed, grid):
         d, V = np.linalg.eigh(laplacian_literal(A[np.ix_(train, train)]))
         xt, yt = x[train], y[train]
         Vx, Vy = V.T @ xt, V.T @ yt
-        xTx, xTy = float(xt @ xt), float(xt @ yt)
+        xTx = float(xt @ xt)
         A_hh = A[np.ix_(held, held)].copy()
         np.fill_diagonal(A_hh, 0.0)
         _, comp = connected_components(csr_matrix(A_hh), directed=False)
@@ -248,11 +250,15 @@ def eigh_cv_reference(A, x, y, n_folds, seed, grid):
         op = np.linalg.solve(L[np.ix_(hg, hg)], A[np.ix_(hg, train)]) if hg.size else None
         for j, lam in enumerate(lambdas):
             shrink = 1.0 / (1.0 + lam * d)
-            denom = xTx - float((Vx * Vx) @ shrink)
+            # x^T (u - s_u) as a sum over eigenvalues, without the cancellation
+            # of x^T u - x^T s_u: on sparse weighted graphs the slope's
+            # denominator can be a tiny part of x^T x.
+            kept = lam * d * shrink
+            denom = float((Vx * Vx) @ kept)
             if denom <= 1e-12 * max(xTx, 1.0):
                 beta = 0.0
             else:
-                beta = (xTy - float((Vx * Vy) @ shrink)) / denom
+                beta = float((Vx * Vy) @ kept) / denom
             alpha_t = V @ ((Vy - beta * Vx) * shrink)
             alpha_h = np.full(held.size, alpha_t.mean())
             if op is not None:
@@ -320,12 +326,79 @@ def test_cv_one_node_training_set(A):
 
 
 def test_cv_names_failed_lapack_routine():
-    # Negative edge weights make I + lam L_tt indefinite, which the
-    # positive definite tridiagonal solve reports instead of returning garbage.
+    # Negative edge weights make I + lam L_tt indefinite, which a negative
+    # Lanczos pivot reports instead of returning garbage.
     A = -5.0 * (np.ones((4, 4)) - np.eye(4))
     x, y = np.arange(4.0), np.ones(4)
-    with pytest.raises(np.linalg.LinAlgError, match="dptsv"):
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         cv_select_lambda(A, x, y, n_folds=4, grid=[1.0])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    density=st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]),
+    weighted=st.booleans(),
+    self_loops=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_cv_matches_eigh_reference_on_random_graphs(n, density, weighted, self_loops, seed, data):
+    n_folds = data.draw(st.integers(2, n), label="n_folds")
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < density, k=0 if self_loops else 1).astype(float)
+    if weighted:
+        upper *= rng.uniform(0.1, 5.0, size=(n, n))
+    A = upper + np.triu(upper, k=1).T
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    grid = default_lambda_grid()
+    ref_errors, ref_lam, ref_ungrounded = eigh_cv_reference(A, x, y, n_folds, seed, grid)
+    fit = cv_select_lambda(A, x, y, n_folds=n_folds, seed=seed)
+    np.testing.assert_allclose([e for _, e in fit.cv_curve], ref_errors, rtol=1e-10, atol=0)
+    assert fit.notes["ungrounded_held_out"] == ref_ungrounded
+    lowest, second = np.sort(ref_errors)[:2]
+    if second - lowest > 1e-9 * lowest:
+        assert fit.lam == ref_lam
+
+
+def test_cv_leave_one_out_memory():
+    # Leave-one-out runs the folds in passes, so the Lanczos bases stay near
+    # twice the size of A (1.3 MB at n = 400) instead of growing with n_folds.
+    A, x, y = connected_instance(35, n=400)
+    tracemalloc.start()
+    cv_select_lambda(A, x, y, n_folds=400, seed=1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8e6
+
+
+def malformed_inputs():
+    A, x, y = connected_instance(36, n=60)
+    directed = A.copy()
+    directed[0, 1], directed[1, 0] = 1.0, 0.0
+    yield "directed", directed, x, y, "symmetric"
+    y_nan = y.copy()
+    y_nan[7] = np.nan
+    yield "nan_response", A, x, y_nan, "response has non-finite"
+    x_inf = x.copy()
+    x_inf[3] = np.inf
+    yield "inf_covariate", A, x_inf, y, "covariate has non-finite"
+    A_nan = A.copy()
+    A_nan[2, 5] = A_nan[5, 2] = np.nan
+    yield "nan_adjacency", A_nan, x, y, "adjacency has non-finite"
+    yield "short_response", A, x, y[:-1], r"response must have shape \(60,\)"
+    yield "oversized_adjacency", np.pad(A, (0, 1)), x, y, "adjacency must be 60 x 60"
+
+
+@pytest.mark.parametrize("fitter", ["cv_select_lambda", "fit_netcoh"])
+@pytest.mark.parametrize("case", list(malformed_inputs()), ids=lambda c: c[0])
+def test_cohesion_fits_reject_malformed_input(case, fitter):
+    _, A, x, y, message = case
+    with pytest.raises(ValueError, match=message):
+        if fitter == "fit_netcoh":
+            fit_netcoh(A, x, y, 1.0)
+        else:
+            cv_select_lambda(A, x, y, n_folds=3)
 
 
 def numpy_solve_netcoh_reference(A, x, y, lam):

@@ -323,3 +323,28 @@ def test_simulate_sbm_reports_edge_count(tmp_path, capsys):
     assert rc == 0
     n_lines = len(net.read_text().splitlines())
     assert capsys.readouterr().out == f"wrote {net} ({n_lines} edges, n=40)\n"
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_netcoh_rejects_non_finite_column_value(workspace, token):
+    # float() parses these; a NaN response used to give a NaN slope and CV curve.
+    values = workspace["y"].read_text().splitlines()
+    values[5] = token
+    workspace["y"].write_text("\n".join(values) + "\n")
+    argv = ["netcoh", "--network", str(workspace["net"]), "--x", str(workspace["x"])]
+    argv += ["--y", str(workspace["y"]), "--out", str(workspace["dir"] / "nc.json")]
+    with pytest.raises(ValueError, match=rf"y\.csv: line 6: non-finite value '{token}'"):
+        main(argv)
+    assert not (workspace["dir"] / "nc.json").exists()
+
+
+def test_experiment_bad_config_exits_with_one_line(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    config = {"kind": "misspecification", "n_grid": [40], "k_grid": [2], "replicas": 2}
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit, match=r"unknown config fields \['replicas'\]"):
+        main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
+    flags = ["--kind", "coef_structure", "--n-grid", "40", "--k-grid", "2"]
+    with pytest.raises(SystemExit, match="not estimator 'netcoh'"):
+        main(["experiment", *flags, "--set", 'estimators=["netcoh"]', "--out", str(tmp_path / "b")])
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
