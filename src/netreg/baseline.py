@@ -12,13 +12,14 @@ the graph.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+
+from ._io import write_json
 
 DEFAULT_GRID_SIZE = 100
 DEFAULT_GRID_RANGE = (1e-3, 10.0)
@@ -56,9 +57,7 @@ class NetcohFit:
         return out
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def _netcoh_system(A: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 
+from ._io import write_json
 from .baseline import cv_select_lambda, fit_netcoh
 from .community import Membership, detect_communities, estimate_k, kmeans
 from .graph import (
@@ -44,13 +45,6 @@ def _read_column_csv(path) -> np.ndarray:
             raise ValueError(f"{path}: line {idx + 1}: non-finite value {token!r}")
         values.append(value)
     return np.array(values, dtype=np.float64)
-
-
-def _write_column_csv(values, path, header: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for v in np.asarray(values).tolist():
-            fh.write(f"{v!r}\n")
 
 
 def _load_block_probs(source: str) -> np.ndarray:
@@ -223,11 +217,9 @@ def _cmd_theory_check(args) -> int:
         n_noise_reps=args.noise_reps,
         base_seed=args.base_seed,
     )
-    payload = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    print(payload)
+        write_json(args.out, report)
+    print(json.dumps(report, indent=2))
     return 0 if report["all_pass"] else 1
 
 

@@ -17,6 +17,8 @@ from scipy.linalg import blas
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from ._io import write_csv
+
 # Brute force over K! permutations up to this K; Hungarian above it.
 _EXHAUSTIVE_PERM_MAX_K = 8
 # Dense eigendecomposition below this size; Lanczos above.
@@ -74,14 +76,15 @@ class Membership:
         return cls(labels=Z.argmax(axis=1), n_communities=Z.shape[1])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("node_id,label\n")
-            for i, lab in enumerate(self.labels.tolist()):
-                fh.write(f"{i},{lab}\n")
+        write_csv(path, ["node_id", "label"], enumerate(self.labels.tolist()))
 
     @classmethod
     def from_csv(cls, path, n_communities: int | None = None) -> "Membership":
-        """Read a node_id,label CSV; the n rows must name each id in 0..n-1 once."""
+        """Read a node_id,label CSV; the n rows must name each id in 0..n-1 once.
+
+        Labels must be non-negative and, with K communities (the largest label
+        plus one when ``n_communities`` is not given), use each of 0..K-1.
+        """
         rows = []
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline()
@@ -106,9 +109,16 @@ class Membership:
                 raise ValueError(f"{path}: line {line_no}: node_id {node} outside 0..{n - 1}")
             if node in seen:
                 raise ValueError(f"{path}: line {line_no}: node_id {node} repeats line {seen[node]}")
+            if lab < 0:
+                raise ValueError(f"{path}: line {line_no}: negative label {lab}")
             seen[node] = line_no
             labels[node] = lab
+        if n == 0:
+            raise ValueError(f"{path}: no node_id,label rows")
         K = n_communities if n_communities is not None else int(labels.max()) + 1
+        unused = np.flatnonzero(np.bincount(labels, minlength=K)[:K] == 0)
+        if unused.size:
+            raise ValueError(f"{path}: no node has label {unused[0]}; 0..{K - 1} must all be used")
         return cls(labels=labels, n_communities=K)
 
 
@@ -212,10 +222,7 @@ class ScreeResult:
         return _embedding(self.singular_values[:K], self.eigenvectors[:, :K])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("index,sigma\n")
-            for i, s in enumerate(self.singular_values.tolist(), start=1):
-                fh.write(f"{i},{s!r}\n")
+        write_csv(path, ["index", "sigma"], enumerate(self.singular_values.tolist(), start=1))
 
 
 def estimate_k(adjacency, k_max: int) -> ScreeResult:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv
 from .regression import FitResult, pinv_psd
 
 HC_VARIANTS = ("HC0", "HC1", "HC3")
@@ -159,13 +160,14 @@ class TestTable:
         raise KeyError((target, source))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k1,k2,estimate,se,z,p,stars,variant\n")
-            for c in self.cells:
-                fh.write(
-                    f"{c.target},{c.source},{c.estimate!r},{c.se!r},"
-                    f"{c.z!r},{c.p!r},{c.stars},{self.variant}\n"
-                )
+        write_csv(
+            path,
+            ["k1", "k2", "estimate", "se", "z", "p", "stars", "variant"],
+            [
+                (c.target, c.source, c.estimate, c.se, c.z, c.p, c.stars, self.variant)
+                for c in self.cells
+            ],
+        )
 
     def to_text(self) -> str:
         K = max(c.target for c in self.cells) + 1

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
 from .community import Membership
@@ -66,37 +63,3 @@ def network_adjusted_r2(response, fitted, fitted_ols, membership: Membership) ->
         numer += float(rk @ rk)
     return 1.0 - (n - 1) / (n - K * K) * numer / denom
 
-
-@dataclass(frozen=True)
-class EvalReport:
-    """One experiment cell's metrics; estimation error may be unavailable."""
-
-    err_est: float | None
-    err_pred: float
-    r2_adj_net: float | None = None
-    permutation: np.ndarray | None = None
-
-    CSV_HEADER = "err_est,err_pred,r2_adj_net"
-
-    def to_dict(self) -> dict:
-        return {
-            "err_est": None if self.err_est is None else float(self.err_est),
-            "err_pred": float(self.err_pred),
-            "r2_adj_net": None if self.r2_adj_net is None else float(self.r2_adj_net),
-            "permutation": None
-            if self.permutation is None
-            else [[int(v) for v in row] for row in self.permutation],
-        }
-
-    def to_csv_row(self) -> str:
-        cells = [
-            "" if self.err_est is None else repr(float(self.err_est)),
-            repr(float(self.err_pred)),
-            "" if self.r2_adj_net is None else repr(float(self.r2_adj_net)),
-        ]
-        return ",".join(cells)
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")

@@ -18,11 +18,11 @@ and are flagged, never fatal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv, write_json
 from .community import Membership
 
 
@@ -66,10 +66,18 @@ def aggregate(adjacency, covariates, membership: Membership) -> np.ndarray:
     """Neighbourhood aggregate N = A (X (x) Z) of an n x p covariate block X.
 
     Column ``l * K + k'`` of the n x pK result sums covariate l over each
-    node's neighbours in community k'; no n x n temporary is formed.
+    node's neighbours in community k'; no n x n temporary is formed. A
+    non-finite entry of A makes its row of N non-finite (0 * nan and 0 * inf
+    are nan), so checking the n x pK result rejects it without a pass over A;
+    the check replaces numpy's floating-point warnings.
     """
     Z = membership.onehot()
-    return adjacency @ (covariates[:, :, None] * Z[:, None, :]).reshape(membership.n, -1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        N = adjacency @ (covariates[:, :, None] * Z[:, None, :]).reshape(membership.n, -1)
+    if not np.isfinite(N).all():
+        row = int(np.flatnonzero(~np.isfinite(N).all(axis=1))[0])
+        raise ValueError(f"adjacency must be finite; row {row} of its aggregate is not")
+    return N
 
 
 def _fitted(N, coef, membership: Membership) -> np.ndarray:
@@ -143,15 +151,10 @@ class FitResult:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def save_fitted_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("node_id,fitted\n")
-            for i, v in enumerate(self.fitted.tolist()):
-                fh.write(f"{i},{v!r}\n")
+        write_csv(path, ["node_id", "fitted"], enumerate(self.fitted.tolist()))
 
 
 def fit_full(adjacency, covariate, response, membership: Membership) -> FitResult:

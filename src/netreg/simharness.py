@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy
 
-from .baseline import ablation_network, cv_select_lambda, fit_netcoh, predict_netcoh
+from ._io import write_csv
+from .baseline import ablation_network, cv_select_lambda, predict_netcoh
 from .community import Membership, align_permutation, detect_communities, perturb_membership
 from .graph import SbmParams, sample_sbm
 from .metrics import estimation_error, prediction_error
@@ -41,18 +42,17 @@ _KIND_ESTIMATORS = {
 # Sub-stream tags so instance, detection, perturbation, and CV draws never collide.
 _TAG_INSTANCE, _TAG_DETECT, _TAG_PERTURB, _TAG_NETCOH = 0, 1, 2, 3
 
-RAW_COLUMNS = [
-    "experiment",
-    "estimator",
-    "structure",
-    "n",
-    "K",
-    "alpha_n",
-    "replicate",
-    "seed",
-    "err_est",
-    "err_pred",
-    "status",
+# Every table is a column list projected from its rows by the one CSV writer.
+CELL_COLUMNS = ["experiment", "estimator", "structure", "n", "K", "alpha_n"]
+RAW_COLUMNS = CELL_COLUMNS + ["replicate", "seed", "err_est", "err_pred", "status"]
+TIMING_COLUMNS = CELL_COLUMNS + ["replicate", "wall_time"]
+SUMMARY_COLUMNS = CELL_COLUMNS + [
+    "replicates",
+    "n_failed",
+    "err_est_mean",
+    "err_est_stderr",
+    "err_pred_mean",
+    "err_pred_stderr",
 ]
 
 
@@ -161,7 +161,6 @@ class ExperimentConfig:
     oracle_membership: bool = False
     kmeans_restarts: int = 10
     netcoh_folds: int = 5
-    netcoh_reuse_lambda: bool = False
     output: str | None = None
 
     def __post_init__(self):
@@ -257,17 +256,12 @@ def _replicates(config: ExperimentConfig):
 _FITTERS = {"full": fit_full, "row": fit_row, "singleton": fit_singleton}
 
 
-def _errors(config, estimator, inst, Z, Q, coords, lambda_cache) -> tuple:
+def _errors(config, estimator, inst, Z, Q, coords) -> tuple:
     """(err_est, err_pred) of one estimator fitted on one replicate."""
     A, x, y = inst.adjacency, inst.covariate, inst.response
     if estimator == "netcoh":
-        cell = (x.size, inst.membership.n_communities)
-        if config.netcoh_reuse_lambda and cell in lambda_cache:
-            nc = fit_netcoh(A, x, y, lambda_cache[cell])
-        else:
-            seed = derive_seed(*coords, _TAG_NETCOH)
-            nc = cv_select_lambda(A, x, y, n_folds=config.netcoh_folds, seed=seed)
-            lambda_cache[cell] = nc.lam
+        seed = derive_seed(*coords, _TAG_NETCOH)
+        nc = cv_select_lambda(A, x, y, n_folds=config.netcoh_folds, seed=seed)
         return None, prediction_error(predict_netcoh(nc, x), y)
     if estimator in ("identity_net", "complete_net"):
         fit = fit_full(ablation_network(estimator.removesuffix("_net"), x.size), x, y, Z)
@@ -286,7 +280,6 @@ def run_rows(config: ExperimentConfig) -> list:
     fails, every row of that replicate records it.
     """
     rows = []
-    lambda_cache: dict = {}
     perturbed = config.kind == "misspecification"
     for structure, n, K, rep, coords in _replicates(config):
         inst_seed = derive_seed(*coords, _TAG_INSTANCE)
@@ -315,9 +308,7 @@ def run_rows(config: ExperimentConfig) -> list:
                             seed = derive_seed(*coords, alpha_n, _TAG_PERTURB)
                             Z = perturb_membership(inst.membership, alpha_n, seed)
                             Q = align_permutation(Z, inst.membership)
-                        err_est, err_pred = _errors(
-                            config, estimator, inst, Z, Q, coords, lambda_cache
-                        )
+                        err_est, err_pred = _errors(config, estimator, inst, Z, Q, coords)
                     except Exception as exc:  # failures recorded per row, run continues
                         status = type(exc).__name__
                 rows.append(
@@ -340,47 +331,19 @@ def run_rows(config: ExperimentConfig) -> list:
     return rows
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+def _canonical(rows: list) -> list:
+    """The rows' field dicts in canonical order."""
+    return [vars(r) for r in sorted(rows, key=_sort_key)]
+
+
+def _write_table(path, columns, records) -> None:
+    """One CSV line per record (a dict), its cells in ``columns`` order."""
+    write_csv(path, columns, ([rec[c] for c in columns] for rec in records))
 
 
 def write_raw_csv(rows: list, path) -> None:
     """Raw per-replicate results, canonically sorted, byte-reproducible."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(RAW_COLUMNS) + "\n")
-        for r in sorted(rows, key=_sort_key):
-            fh.write(
-                ",".join(
-                    [
-                        r.experiment,
-                        r.estimator,
-                        r.structure,
-                        str(r.n),
-                        str(r.K),
-                        "" if r.alpha_n is None else str(r.alpha_n),
-                        str(r.replicate),
-                        str(r.seed),
-                        _fmt(r.err_est),
-                        _fmt(r.err_pred),
-                        r.status,
-                    ]
-                )
-                + "\n"
-            )
-
-
-def write_timings_csv(rows: list, path) -> None:
-    """Wall times per row; not covered by the byte-reproducibility guarantee."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("experiment,estimator,structure,n,K,alpha_n,replicate,wall_time\n")
-        for r in sorted(rows, key=_sort_key):
-            alpha = "" if r.alpha_n is None else str(r.alpha_n)
-            fh.write(
-                f"{r.experiment},{r.estimator},{r.structure},{r.n},{r.K},"
-                f"{alpha},{r.replicate},{r.wall_time!r}\n"
-            )
+    _write_table(path, RAW_COLUMNS, _canonical(rows))
 
 
 def _mean_stderr(values: list) -> tuple:
@@ -396,60 +359,14 @@ def summarize(rows: list) -> list:
     """Per-cell means and standard errors, recomputable from the raw rows."""
     groups: dict = {}
     for r in rows:
-        key = (r.experiment, r.estimator, r.structure, r.n, r.K, r.alpha_n)
-        groups.setdefault(key, []).append(r)
+        groups.setdefault(tuple(getattr(r, c) for c in CELL_COLUMNS), []).append(r)
     summary = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], k[3], k[4], -1 if k[5] is None else k[5])):
-        members = groups[key]
-        est_mean, est_se = _mean_stderr([m.err_est for m in members])
-        pred_mean, pred_se = _mean_stderr([m.err_pred for m in members])
-        summary.append(
-            {
-                "experiment": key[0],
-                "estimator": key[1],
-                "structure": key[2],
-                "n": key[3],
-                "K": key[4],
-                "alpha_n": key[5],
-                "replicates": len(members),
-                "n_failed": sum(1 for m in members if m.status != "ok"),
-                "err_est_mean": est_mean,
-                "err_est_stderr": est_se,
-                "err_pred_mean": pred_mean,
-                "err_pred_stderr": pred_se,
-            }
-        )
+    for key, members in sorted(groups.items(), key=lambda item: _sort_key(item[1][0])):
+        n_failed = sum(1 for m in members if m.status != "ok")
+        est = _mean_stderr([m.err_est for m in members])
+        pred = _mean_stderr([m.err_pred for m in members])
+        summary.append(dict(zip(SUMMARY_COLUMNS, (*key, len(members), n_failed, *est, *pred))))
     return summary
-
-
-def write_summary_csv(summary: list, path) -> None:
-    cols = [
-        "experiment",
-        "estimator",
-        "structure",
-        "n",
-        "K",
-        "alpha_n",
-        "replicates",
-        "n_failed",
-        "err_est_mean",
-        "err_est_stderr",
-        "err_pred_mean",
-        "err_pred_stderr",
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in summary:
-            cells = []
-            for c in cols:
-                v = row[c]
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, float):
-                    cells.append(repr(v))
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
 
 
 def _blas_build(module) -> dict | None:
@@ -477,8 +394,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> tuple:
     summary = summarize(rows)
     os.makedirs(output_dir, exist_ok=True)
     write_raw_csv(rows, os.path.join(output_dir, "raw.csv"))
-    write_summary_csv(summary, os.path.join(output_dir, "summary.csv"))
-    write_timings_csv(rows, os.path.join(output_dir, "timings.csv"))
+    _write_table(os.path.join(output_dir, "summary.csv"), SUMMARY_COLUMNS, summary)
+    # Wall times are the one output not covered by the byte-reproducibility guarantee.
+    _write_table(os.path.join(output_dir, "timings.csv"), TIMING_COLUMNS, _canonical(rows))
     meta = {
         "config": config.to_dict(),
         "config_hash": config.config_hash(),

@@ -278,6 +278,21 @@ def test_membership_csv_malformed_row_names_line(tmp_path, row):
         Membership.from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0,0\n1,-1\n", r"membership\.csv: line 3: negative label -1"),
+        ("0,0\n1,2\n2,0\n", r"membership\.csv: no node has label 1; 0\.\.2 must all be used"),
+    ],
+    ids=["negative", "unused"],
+)
+def test_membership_csv_bad_label_names_path(tmp_path, body, message):
+    path = tmp_path / "membership.csv"
+    path.write_text("node_id,label\n" + body)
+    with pytest.raises(ValueError, match=message):
+        Membership.from_csv(path)
+
+
 def lanczos_cases():
     """Symmetric matrices above the dense-eigensolver size, with their k."""
     n = _DENSE_EIG_MAX_N + 100

@@ -104,22 +104,6 @@ def test_network_adjusted_r2():
         network_adjusted_r2(y, y, y, m)  # zero OLS residual
 
 
-def test_eval_report_serialization(tmp_path):
-    import json
-
-    from netreg import EvalReport
-
-    report = EvalReport(err_est=0.25, err_pred=1.5, r2_adj_net=None)
-    assert report.to_csv_row() == "0.25,1.5,"
-    assert EvalReport.CSV_HEADER == "err_est,err_pred,r2_adj_net"
-    none_est = EvalReport(err_est=None, err_pred=2.0)
-    assert none_est.to_csv_row() == ",2.0,"
-    path = tmp_path / "report.json"
-    report.save_json(path)
-    data = json.loads(path.read_text())
-    assert data["err_est"] == 0.25 and data["r2_adj_net"] is None
-
-
 def test_negative_r2_reported_as_is():
     rng = np.random.default_rng(9)
     n = 30

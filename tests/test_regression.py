@@ -332,6 +332,26 @@ def test_predict_rejects_misshapen_aggregates():
         predict(A, x, m, np.ones((2, 2)), aggregates=np.ones((40, 3)))
 
 
+_ADJACENCY_USERS = {
+    "fit_full": fit_full,
+    "fit_row": fit_row,
+    "fit_singleton": fit_singleton,
+    "predict": lambda A, x, y, m: predict(A, x, m, np.ones((2, 2))),
+    "center_data": center_data,
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", sorted(_ADJACENCY_USERS))
+def test_non_finite_adjacency_is_rejected(name, bad):
+    # A NaN or inf in A must fail here, not reach a solver as NaN coefficients.
+    A, x, m = small_instance(39, n=60, n_communities=2)
+    y = np.random.default_rng(40).standard_normal(60)
+    A[3, 5] = bad
+    with pytest.raises(ValueError, match="adjacency must be finite; row 3 "):
+        _ADJACENCY_USERS[name](A, x, y, m)
+
+
 def test_solver_min_norm_fallback():
     # Singular normal equations: duplicate columns
     H = np.array([[2.0, 2.0], [2.0, 2.0]])
