@@ -60,45 +60,29 @@ class NetcohFit:
         write_json(path, self.to_dict())
 
 
-def _netcoh_system(A: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
-    """The (n+1) x (n+1) normal matrix [[I + lam L, x], [x^T, x^T x]].
-
-    I + lam L is written in place: the same values as that sum (up to the
-    sign of zeros) without an n x n temporary beside the system.
-    """
-    n = x.size
-    system = np.empty((n + 1, n + 1), dtype=np.float64)
-    np.multiply(A, -lam, out=system[:n, :n])
-    system[np.diag_indices(n)] = 1.0 + lam * (A.sum(axis=1) - np.diagonal(A))
-    system[:n, n] = x
-    system[n, :n] = x
-    system[n, n] = x @ x
-    return system
-
-
 def fit_netcoh(adjacency, covariate, response, lam: float) -> NetcohFit:
-    """Solve the penalized problem exactly via its (n+1)-dimensional normal system."""
+    """Solve the penalized problem exactly: alpha = s_y - beta s_x, beta from _slope.
+
+    (I + lam L) [s_x, s_y] = [x, y] is one Lanczos run each on the whole graph
+    (see _lanczos). An unidentified slope (x constant on every connected
+    component) is beta = 0 with ``notes["slope_identified"]`` False. Raises
+    LinAlgError when I + lam L is not positive definite (negative edge weights).
+    """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    A = np.asarray(adjacency, dtype=np.float64)
-    x = np.asarray(covariate, dtype=np.float64)
-    y = np.asarray(response, dtype=np.float64)
-    _check_inputs(A, x, y)
-    n = x.size
-    rhs = np.concatenate([y, [x @ y]])
-    try:
-        # The system is symmetric, so its transpose is the same matrix in
-        # Fortran order, and dgesv factors it in place without a copy.
-        sol = _lapack("dgesv", _netcoh_system(A, x, lam).T, rhs, overwrite_a=1)[2]
-    except np.linalg.LinAlgError:
-        # Singular only when the slope is unidentifiable (e.g. constant x).
-        # The traceback holds the factored system until this block ends.
-        sol = None
-    if sol is None:
-        # dgesv overwrote the system with its factors, so it is built again,
-        # after the factors are freed.
-        sol = np.linalg.lstsq(_netcoh_system(A, x, lam), rhs, rcond=None)[0]
-    return NetcohFit(alpha=sol[:n], beta=float(sol[n]), lam=float(lam))
+    A, A_f, x, y = _inputs(adjacency, covariate, response)
+    lambdas, rhs = np.array([float(lam)]), np.stack((x, y))
+    deg, no_rows = np.tile(A.sum(axis=1), (2, 1)), np.zeros((2, 0), dtype=np.intp)
+    V, _, a_diag, b_off, norm, steps = _lanczos(A_f, rhs, np.ones_like(rhs), deg, no_rows, lambdas)
+    (C_x, D_x), (C_y, D_y) = (
+        _shifted_coefficients(a_diag[r], b_off[r], norm[r], steps[r], lambdas) for r in (0, 1)
+    )
+    V_x, V_y = V[0, : steps[0]], V[1, : steps[1]]
+    xV_x, xV_y = np.einsum("kn,n->k", V_x, x), np.einsum("kn,n->k", V_y, x)
+    beta, identified = _slope(xV_x, D_x, xV_y, D_y, norm[0])
+    alpha = np.einsum("kn,k->n", V_y, C_y[:, 0]) - beta[0] * np.einsum("kn,k->n", V_x, C_x[:, 0])
+    notes = {"slope_identified": bool(identified[0])}
+    return NetcohFit(alpha=alpha, beta=float(beta[0]), lam=float(lam), notes=notes)
 
 
 def predict_netcoh(fit: NetcohFit, covariate) -> np.ndarray:
@@ -121,11 +105,11 @@ def default_lambda_grid() -> np.ndarray:
 
 
 # Every dense BLAS or LAPACK call on the hot paths goes through scipy: the
-# cohesion CV's Lanczos products (dgemm), tridiagonal eigensolves (dstev) and
-# held-out solves (dposv), the fit_netcoh refit (dgesv) and the Lanczos
-# products of community._leading_eigenpairs (ARPACK itself is scipy's). The
-# CV's other contractions are numpy einsum, which calls no BLAS. numpy and
-# scipy each load their own OpenBLAS with its own thread pool; when calls
+# cohesion fits' Lanczos products (dgemm), tridiagonal eigensolves (dstev) and
+# held-out solves (dposv), and the Lanczos products of
+# community._leading_eigenpairs (ARPACK itself is scipy's). Their other
+# contractions are numpy einsum, which calls no BLAS; never numpy's @. numpy
+# and scipy each load their own OpenBLAS with its own thread pool; when calls
 # alternate between the two, the idle workers of one pool spin and take CPU
 # from the other. On 2 cores an earlier form of the CV took 0.80 s at
 # n = 1000 (median of 7) with numpy doing part of each fold's products, and
@@ -140,8 +124,15 @@ def _lapack(routine: str, *args, **kwargs) -> list:
     return out
 
 
-def _check_inputs(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-    """Raise ValueError unless A is finite, symmetric and n x n, and x, y are finite n-vectors."""
+def _inputs(adjacency, covariate, response):
+    """A, A in Fortran order (A.T, no copy, when A is C-contiguous), x and y as float arrays.
+
+    Raises ValueError unless A is finite, symmetric and n x n, and x, y are
+    finite n-vectors.
+    """
+    A = np.asarray(adjacency, dtype=np.float64)
+    x = np.asarray(covariate, dtype=np.float64)
+    y = np.asarray(response, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"covariate must be a vector, got shape {x.shape}")
     n = x.size
@@ -154,6 +145,7 @@ def _check_inputs(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
             raise ValueError(f"{name} has non-finite entries")
     if not np.array_equal(A, A.T):
         raise ValueError("adjacency must be symmetric")
+    return A, A.T if A.flags.c_contiguous else np.asfortranarray(A), x, y
 
 
 # A Lanczos run stops once the Galerkin residual of every grid lambda is below
@@ -228,9 +220,8 @@ def _lanczos(A_f, rhs, mask, deg, held, lambdas):
         if not (pivot > 0.0).all():
             r, j = np.unravel_index(np.argmin(pivot), pivot.shape)
             raise np.linalg.LinAlgError(
-                f"I + lam L of a CV training subgraph is not positive definite at "
-                f"lam = {lambdas[j]:.6g} (Lanczos pivot {pivot[r, j]:.6g}); "
-                "are some edge weights negative?"
+                f"I + lam L is not positive definite at lam = {lambdas[j]:.6g} "
+                f"(Lanczos pivot {pivot[r, j]:.6g}); are some edge weights negative?"
             )
         gain = gain * (coupling if k else 1.0) / pivot
         done = (
@@ -246,7 +237,7 @@ def _lanczos(A_f, rhs, mask, deg, held, lambdas):
     return V, AV_held, a_diag, b_off, norm, steps
 
 
-def _shifted_coefficients(a, b, norm, lambdas):
+def _shifted_coefficients(a, b, norm, steps, lambdas):
     """Coefficients of a run's solution s(lam) = V C(lam) and of rhs - s(lam) = V D(lam).
 
     With T = tridiag(b, a, b) = W diag(theta) W^T, the columns are
@@ -255,10 +246,25 @@ def _shifted_coefficients(a, b, norm, lambdas):
     D is formed directly, without the cancellation in norm e_1 - C, because
     the slope's denominator x^T (x_t - s_x) can be a tiny part of x^T x.
     """
-    theta, W = _lapack("dstev", a, b)
+    theta, W = _lapack("dstev", a[:steps], b[: max(steps - 1, 1)])
     shift = np.outer(theta, lambdas)
     coef = (W[0] * norm)[:, None] / (1.0 + shift)
     return blas.dgemm(1.0, W, coef), blas.dgemm(1.0, W, coef * shift)
+
+
+def _slope(xV_x, D_x, xV_y, D_y, x_norm):
+    """beta = x^T (rhs_y - s_y) / x^T (rhs_x - s_x) = (x^T V_y) D_y / (x^T V_x) D_x per lambda.
+
+    Where the denominator is not above 1e-12 max(|rhs_x|^2, 1), x is constant
+    on every connected component (up to rounding) and beta = 0. Returns beta
+    and where it is identified.
+    """
+    denom = np.einsum("k,kq->q", xV_x, D_x)
+    num = np.einsum("k,kq->q", xV_y, D_y)
+    beta = np.zeros(denom.size)
+    identified = denom > 1e-12 * max(x_norm**2, 1.0)
+    beta[identified] = num[identified] / denom[identified]
+    return beta, identified
 
 
 def _grounded(A: np.ndarray, held: np.ndarray, boundary: np.ndarray) -> np.ndarray:
@@ -280,8 +286,7 @@ def _pass_sq_err(A, A_f, deg, x, y, folds, lambdas):
     Each fold's training fit solves (I + lam L_tt) [s_x, s_y] = [x_t, y_t]
     for every lambda; both solutions of every fold come from one Lanczos pass
     (see _lanczos), as s(lam) = V C(lam), with x_t - s_x = V_x D_x and
-    y_t - s_y = V_y D_y. Then
-    beta = x^T (y_t - s_y) / x^T (x_t - s_x) = (x^T V_y) D_y / (x^T V_x) D_x,
+    y_t - s_y = V_y D_y. Then beta comes from _slope,
     alpha_t = s_y - beta s_x, and the training mean comes from (1^T V) C.
     The harmonic extension L_gg alpha_g = A_gt alpha_t of the grounded
     held-out nodes g is, since A_gt s = (A V)[g] C, one SPD solve for the
@@ -307,20 +312,13 @@ def _pass_sq_err(A, A_f, deg, x, y, folds, lambdas):
     for f, held in enumerate(folds):
         runs = (f, nf + f)
         (C_x, D_x), (C_y, D_y) = (
-            _shifted_coefficients(
-                a_diag[r, : steps[r]], b_off[r, : max(steps[r] - 1, 1)], norm[r], lambdas
-            )
-            for r in runs
+            _shifted_coefficients(a_diag[r], b_off[r], norm[r], steps[r], lambdas) for r in runs
         )
         # x^T V and 1^T V of both runs.
         (xV_x, oneV_x), (xV_y, oneV_y) = (
             np.einsum("kn,pn->pk", V[r, : steps[r]], x_one) for r in runs
         )
-        denom = np.einsum("k,kq->q", xV_x, D_x)
-        num = np.einsum("k,kq->q", xV_y, D_y)
-        beta = np.zeros(lambdas.size)
-        identified = denom > 1e-12 * max(norm[f] ** 2, 1.0)
-        beta[identified] = num[identified] / denom[identified]
+        beta = _slope(xV_x, D_x, xV_y, D_y, norm[f])[0]
 
         # Ungrounded held-out nodes take the training mean of alpha_t.
         alpha_h = np.empty((held.size, lambdas.size))
@@ -372,19 +370,13 @@ def cv_select_lambda(
     folds. Raises LinAlgError when some I + lam L_tt is not positive definite
     (negative edge weights).
     """
-    A = np.asarray(adjacency, dtype=np.float64)
-    x = np.asarray(covariate, dtype=np.float64)
-    y = np.asarray(response, dtype=np.float64)
-    _check_inputs(A, x, y)
+    A, A_f, x, y = _inputs(adjacency, covariate, response)
     n = x.size
     if not 2 <= n_folds <= n:
         raise ValueError(f"n_folds must be in [2, {n}], got {n_folds}")
     lambdas = default_lambda_grid() if grid is None else np.asarray(grid, dtype=np.float64)
     if np.any(lambdas <= 0.0):
         raise ValueError("all grid values must be positive")
-    # A is symmetric, so A.T is A in Fortran order, and dgemm reads it without
-    # a copy; any other layout is copied once here, never per product.
-    A_f = A.T if A.flags.c_contiguous else np.asfortranarray(A)
     deg = A.sum(axis=1)
     rng = np.random.default_rng(seed)
     folds = [np.sort(fold) for fold in np.array_split(rng.permutation(n), n_folds)]
@@ -402,14 +394,14 @@ def cv_select_lambda(
     best = int(np.argmin(cv_errors))
     fit = fit_netcoh(A, x, y, float(lambdas[best]))
     fit.cv_curve = list(zip(lambdas.tolist(), cv_errors.tolist()))
-    fit.notes = {
-        "n_folds": n_folds,
-        "seed": seed,
-        "held_out_rule": "harmonic_extension",
-        "ungrounded_rule": "training_mean",
-        "ungrounded_held_out": ungrounded,
-        "grid_size": int(lambdas.size),
-    }
+    fit.notes.update(
+        n_folds=n_folds,
+        seed=seed,
+        held_out_rule="harmonic_extension",
+        ungrounded_rule="training_mean",
+        ungrounded_held_out=ungrounded,
+        grid_size=int(lambdas.size),
+    )
     return fit
 
 

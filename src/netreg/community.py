@@ -111,6 +111,10 @@ class Membership:
                 raise ValueError(f"{path}: line {line_no}: node_id {node} repeats line {seen[node]}")
             if lab < 0:
                 raise ValueError(f"{path}: line {line_no}: negative label {lab}")
+            if n_communities is not None and lab >= n_communities:
+                raise ValueError(
+                    f"{path}: line {line_no}: label {lab} >= n_communities = {n_communities}"
+                )
             seen[node] = line_no
             labels[node] = lab
         if n == 0:

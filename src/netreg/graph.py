@@ -162,7 +162,7 @@ def save_edge_list(adjacency, path) -> None:
     A = validate_adjacency(adjacency)
     n = A.shape[0]
     ids = [str(i) for i in range(n)]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i in range(n - 1):
             cols = (np.flatnonzero(A[i, i + 1 :]) + (i + 1)).tolist()
             if cols:
@@ -173,6 +173,6 @@ def save_edge_list(adjacency, path) -> None:
 def save_adjacency_csv(adjacency, path) -> None:
     """Export the full 0/1 matrix as CSV (one row per node)."""
     A = validate_adjacency(adjacency)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in A.astype(np.int64):
             fh.write(",".join(str(v) for v in row.tolist()) + "\n")

@@ -404,7 +404,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> tuple:
         # numpy and scipy each load their own BLAS, so both are recorded.
         "blas": {"numpy": _blas_build(np), "scipy": _blas_build(scipy)},
     }
-    with open(os.path.join(output_dir, "meta.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(output_dir, "meta.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return rows, summary

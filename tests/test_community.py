@@ -279,18 +279,23 @@ def test_membership_csv_malformed_row_names_line(tmp_path, row):
 
 
 @pytest.mark.parametrize(
-    "body, message",
+    "body, n_communities, message",
     [
-        ("0,0\n1,-1\n", r"membership\.csv: line 3: negative label -1"),
-        ("0,0\n1,2\n2,0\n", r"membership\.csv: no node has label 1; 0\.\.2 must all be used"),
+        ("0,0\n1,-1\n", None, r"membership\.csv: line 3: negative label -1"),
+        (
+            "0,0\n1,2\n2,0\n",
+            None,
+            r"membership\.csv: no node has label 1; 0\.\.2 must all be used",
+        ),
+        ("0,0\n1,1\n2,2\n", 2, r"membership\.csv: line 4: label 2 >= n_communities = 2"),
     ],
-    ids=["negative", "unused"],
+    ids=["negative", "unused", "above_n_communities"],
 )
-def test_membership_csv_bad_label_names_path(tmp_path, body, message):
+def test_membership_csv_bad_label_names_path(tmp_path, body, n_communities, message):
     path = tmp_path / "membership.csv"
     path.write_text("node_id,label\n" + body)
     with pytest.raises(ValueError, match=message):
-        Membership.from_csv(path)
+        Membership.from_csv(path, n_communities=n_communities)
 
 
 def lanczos_cases():

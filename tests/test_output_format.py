@@ -5,10 +5,13 @@ LF line endings, floats as ``repr(float(v))``, missing values as empty cells;
 JSON is ``json.dump(obj, indent=2)`` plus a newline.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 
+import netreg
 from netreg import ExperimentConfig, FitResult, Membership, NetcohFit, ScreeResult
 from netreg import inference, simharness
 from netreg.simharness import ExperimentRow, run_experiment, write_raw_csv
@@ -141,3 +144,34 @@ def test_experiment_table_bytes(tmp_path, monkeypatch):
         b"network_ablation,netcoh,full,10,2,,0,1.0\n"
         b"network_ablation,netcoh,full,10,2,,1,2e-05\n"
     )
+
+
+def _write_opens_without_newline(source: str) -> list:
+    """Line numbers of the text-mode open(...) calls that may write and leave newline= unset."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else None
+        mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+        if mode is None:
+            continue  # "r"
+        # A mode that is not a literal may write; it counts as one that does.
+        literal = mode.value if isinstance(mode, ast.Constant) else "w"
+        writes = "b" not in literal and any(c in literal for c in "wax+")
+        if writes and not any(k.arg == "newline" for k in node.keywords):
+            found.append(node.lineno)
+    return found
+
+
+def test_write_opens_fix_lf_line_endings():
+    # Without newline="\n" a text file written on Windows gets CRLF endings.
+    assert _write_opens_without_newline('open(p, "w", encoding="utf-8")\nopen(p, mode=m)\n') == [1, 2]
+    assert _write_opens_without_newline('open(p)\nopen(p, "rb")\nopen(p, "w", newline="\\n")\n') == []
+    package = Path(netreg.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := _write_opens_without_newline(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
