@@ -96,7 +96,7 @@ def netcoh_objective(adjacency, covariate, response, alpha, beta, lam) -> float:
     r = y - predict_netcoh(NetcohFit(alpha=np.asarray(alpha, float), beta=beta, lam=lam), covariate)
     a = np.asarray(alpha, dtype=np.float64)
     L = laplacian(adjacency)
-    return float(r @ r + lam * (a @ L @ a))
+    return float(r @ r + lam * np.einsum("i,ij,j->", a, L, a))
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -104,16 +104,7 @@ def default_lambda_grid() -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), DEFAULT_GRID_SIZE)
 
 
-# Every dense BLAS or LAPACK call on the hot paths goes through scipy: the
-# cohesion fits' Lanczos products (dgemm), tridiagonal eigensolves (dstev) and
-# held-out solves (dposv), and the Lanczos products of
-# community._leading_eigenpairs (ARPACK itself is scipy's). Their other
-# contractions are numpy einsum, which calls no BLAS; never numpy's @. numpy
-# and scipy each load their own OpenBLAS with its own thread pool; when calls
-# alternate between the two, the idle workers of one pool spin and take CPU
-# from the other. On 2 cores an earlier form of the CV took 0.80 s at
-# n = 1000 (median of 7) with numpy doing part of each fold's products, and
-# 0.39 s with scipy only.
+# Every BLAS and LAPACK call of the cohesion fits is scipy's; see README, "One OpenBLAS pool".
 
 
 def _lapack(routine: str, *args, **kwargs) -> list:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas
+from scipy.linalg import blas, eigh
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -139,21 +139,34 @@ class SpectralEmbedding:
     zero_rows: np.ndarray = field(repr=False)
 
 
+def reject_non_finite_rows(M: np.ndarray, of: str = "") -> None:
+    """Raise ValueError naming the first row of M with a non-finite entry.
+
+    M is an adjacency matrix, or a product of one named by ``of`` (e.g.
+    " of its aggregate"), whose non-finite rows are those of A.
+    """
+    finite = np.isfinite(M)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ValueError(f"adjacency must be finite; row {row}{of} is not")
+
+
 def _leading_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of symmetric A for the k largest-magnitude eigenvalues.
 
     Returned in descending |eigenvalue| order (ties broken by descending
     eigenvalue), with a deterministic sign convention: each vector's
-    largest-magnitude entry is positive.
+    largest-magnitude entry is positive. Both solvers are scipy's (README,
+    "One OpenBLAS pool"); a non-finite A is rejected before either runs.
     """
+    reject_non_finite_rows(A)
     n = A.shape[0]
     if n <= _DENSE_EIG_MAX_N or k >= n - 1:
-        vals, vecs = np.linalg.eigh(A)
+        # dsyevd on the lower triangle, as numpy's eigh.
+        vals, vecs = eigh(A, driver="evd", check_finite=False)
     else:
-        # ARPACK runs on scipy's OpenBLAS, so its products do too (dsymv; see
-        # the note above baseline._lapack). A symmetric C-ordered A is, as
-        # A.T, the same matrix in Fortran order; any other layout is copied
-        # once here, never per product.
+        # A symmetric C-ordered A is, as A.T, the same matrix in Fortran
+        # order; any other layout is copied once here, never per product.
         F = A.T if A.flags.c_contiguous else np.asfortranarray(A)
         op = LinearOperator(A.shape, matvec=lambda v: blas.dsymv(1.0, F, v), dtype=np.float64)
         # Fixed start vector keeps Lanczos deterministic.

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy
+from scipy.linalg import blas
 
 from ._io import write_csv
 from .baseline import ablation_network, cv_select_lambda, predict_netcoh
@@ -376,10 +377,10 @@ def _blas_build(module) -> dict | None:
     1.25 and scipy 1.11 has no ``mode="dicts"``).
     """
     try:
-        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        dep = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
         return None
-    return {"name": blas.get("name"), "version": blas.get("version")}
+    return {"name": dep.get("name"), "version": dep.get("version")}
 
 
 def run_experiment(config: ExperimentConfig, output_dir=None) -> tuple:
@@ -493,11 +494,14 @@ def run_theory_checks(
         n_k = int(mask.sum())
         H = Xk.T @ Xk
         H_inv = np.linalg.inv(H)
-        betas = Y[:, mask] @ (H_inv @ Xk.T).T  # reps x K
+        # The reps x n_k products run on scipy's dgemm (README, "One OpenBLAS
+        # pool"); Y_k.T is Fortran-ordered, so it is read in place.
+        Y_k = Y[:, mask]
+        betas = blas.dgemm(1.0, Y_k.T, blas.dgemm(1.0, Xk, H_inv, trans_b=1), trans_a=1)
         mean_beta[k] = betas.mean(axis=0)
         mc_se = betas.std(axis=0, ddof=1) / np.sqrt(n_noise_reps)
         max_abs_z = max(max_abs_z, float(np.max(np.abs(mean_beta[k] - beta_star[k]) / mc_se)))
-        resid = Y[:, mask] - betas @ Xk.T
+        resid = Y_k - blas.dgemm(1.0, betas, Xk, trans_b=1)
         sigma2 = (resid**2).sum(axis=1) / (n_k - K)
         se = np.sqrt(sigma2[:, None] * np.diag(H_inv)[None, :])
         covered = np.abs(betas - beta_star[k][None, :]) <= 1.959963984540054 * se

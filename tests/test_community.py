@@ -345,6 +345,51 @@ def test_lanczos_result_does_not_depend_on_memory_layout():
         assert np.array_equal(vecs, results[0][1])
 
 
+def _numpy_leading_eigenpairs(A, k):
+    """np.linalg.eigh reference with _leading_eigenpairs' order and sign convention."""
+    w, V = np.linalg.eigh(A)
+    order = np.lexsort((-w, -np.abs(w)))[:k]
+    vals, vecs = w[order], V[:, order]
+    pivots = np.abs(vecs).argmax(axis=0)
+    return vals, vecs * np.sign(vecs[pivots, np.arange(k)])
+
+
+@pytest.mark.parametrize("n, k", [(120, 5), (300, 3), (_DENSE_EIG_MAX_N, 8), (40, 39)])
+def test_dense_eigenpairs_match_numpy_eigh(n, k):
+    rng = np.random.default_rng(n)
+    A = sample_sbm(assortative_params(rng, n, 3), seed=n + 1)
+    vals, vecs = _leading_eigenpairs(A, k)
+    ref_vals, ref_vecs = _numpy_leading_eigenpairs(A, k)
+    np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-10 * np.abs(ref_vals).max())
+    np.testing.assert_allclose(vecs, ref_vecs, rtol=0, atol=1e-8)
+
+
+def test_detect_communities_matches_numpy_eigh_pipeline():
+    A = gen_instance(300, 3, 0.5, seed=49).adjacency
+    reference = kmeans(community._embedding(*_numpy_leading_eigenpairs(A, 3)), 3, seed=50)
+    assert np.array_equal(detect_communities(A, 3, seed=50).labels, reference.labels)
+
+
+_EIGEN_USERS = {
+    "spectral_embed": lambda A: spectral_embed(A, 3),
+    "estimate_k": lambda A: estimate_k(A, 5),
+    "detect_communities": lambda A: detect_communities(A, 3, seed=0),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("n", [50, _DENSE_EIG_MAX_N + 100], ids=["dense", "lanczos"])
+@pytest.mark.parametrize("name", sorted(_EIGEN_USERS))
+def test_non_finite_adjacency_fails_before_the_eigensolver(capfd, name, n, bad):
+    rng = np.random.default_rng(51)
+    A = sample_sbm(assortative_params(rng, n, 3), seed=52)
+    A[3, 7] = A[7, 3] = bad
+    with pytest.raises(ValueError, match="^adjacency must be finite; row 3 is not$"):
+        _EIGEN_USERS[name](A)
+    # LAPACK prints nothing: no solver saw the matrix.
+    assert capfd.readouterr().err == ""
+
+
 def test_scree_embedding_equals_spectral_embed_on_dense_path():
     rng = np.random.default_rng(45)
     A = sample_sbm(assortative_params(rng, 120, 3), seed=46)

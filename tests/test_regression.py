@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_membership, small_instance
 from netreg import (
@@ -15,7 +17,7 @@ from netreg import (
     loss_community,
     predict,
 )
-from netreg.regression import solve_normal_equations
+from netreg.regression import aggregate, solve_normal_equations
 
 
 def test_design_identity_network():
@@ -350,6 +352,50 @@ def test_non_finite_adjacency_is_rejected(name, bad):
     A[3, 5] = bad
     with pytest.raises(ValueError, match="adjacency must be finite; row 3 "):
         _ADJACENCY_USERS[name](A, x, y, m)
+
+
+def _layout(A, layout):
+    """A as a C-ordered, Fortran-ordered, strided or integer array."""
+    if layout == "fortran":
+        return np.asfortranarray(A)
+    if layout == "strided":
+        padded = np.zeros((2 * A.shape[0], 2 * A.shape[1]), dtype=A.dtype)
+        padded[::2, ::2] = A
+        return padded[::2, ::2]
+    if layout == "integer":
+        return A.astype(np.int64)
+    return A
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    K=st.integers(1, 4),
+    p=st.integers(1, 3),
+    layout=st.sampled_from(["c", "fortran", "strided", "integer"]),
+    symmetric=st.booleans(),
+    weighted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aggregate_matches_numpy_product(n, K, p, layout, symmetric, weighted, seed):
+    rng = np.random.default_rng(seed)
+    m = random_membership(rng, n, K)
+    A = (rng.random((n, n)) < 0.4).astype(np.float64)
+    if weighted:  # integer weights, so the integer layout holds the same matrix
+        A *= rng.integers(1, 6, size=(n, n))
+    if symmetric:
+        A = np.triu(A) + np.triu(A, k=1).T
+    X = rng.standard_normal((n, p))
+    M = (X[:, :, None] * m.onehot()[:, None, :]).reshape(n, -1)
+    ref = A @ M
+    given_A = _layout(A, layout)
+    kept = given_A.copy()
+    N = aggregate(given_A, X, m)
+    scale = float((np.abs(A) @ np.abs(M)).max())
+    np.testing.assert_allclose(N, ref, rtol=1e-12, atol=1e-12 * scale)
+    # Every layout gives the C-ordered float64 result bit for bit.
+    assert np.array_equal(N, aggregate(A, X, m))
+    assert given_A.dtype == kept.dtype and np.array_equal(given_A, kept)
 
 
 def test_solver_min_norm_fallback():
