@@ -19,6 +19,7 @@ from scipy.linalg import blas, lapack
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from ._inputs import square, symmetric, vector
 from ._io import write_json
 
 DEFAULT_GRID_SIZE = 100
@@ -27,7 +28,7 @@ DEFAULT_GRID_RANGE = (1e-3, 10.0)
 
 def laplacian(adjacency) -> np.ndarray:
     """Combinatorial graph Laplacian diag(A 1) - A (self-loops cancel)."""
-    A = np.asarray(adjacency, dtype=np.float64)
+    A = square(adjacency)
     L = -A
     L[np.diag_indices_from(L)] += A.sum(axis=1)
     return L
@@ -70,9 +71,14 @@ def fit_netcoh(adjacency, covariate, response, lam: float) -> NetcohFit:
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    A, A_f, x, y = _inputs(adjacency, covariate, response)
-    lambdas, rhs = np.array([float(lam)]), np.stack((x, y))
-    deg, no_rows = np.tile(A.sum(axis=1), (2, 1)), np.zeros((2, 0), dtype=np.intp)
+    A, A_f, x, y = _checked(adjacency, covariate, response)
+    return _refit(A_f, A.sum(axis=1), x, y, float(lam))
+
+
+def _refit(A_f, deg, x, y, lam: float) -> NetcohFit:
+    """fit_netcoh on checked arrays; ``deg`` is A's row sums."""
+    lambdas, rhs = np.array([lam]), np.stack((x, y))
+    deg, no_rows = np.tile(deg, (2, 1)), np.zeros((2, 0), dtype=np.intp)
     V, _, a_diag, b_off, norm, steps = _lanczos(A_f, rhs, np.ones_like(rhs), deg, no_rows, lambdas)
     (C_x, D_x), (C_y, D_y) = (
         _shifted_coefficients(a_diag[r], b_off[r], norm[r], steps[r], lambdas) for r in (0, 1)
@@ -82,7 +88,7 @@ def fit_netcoh(adjacency, covariate, response, lam: float) -> NetcohFit:
     beta, identified = _slope(xV_x, D_x, xV_y, D_y, norm[0])
     alpha = np.einsum("kn,k->n", V_y, C_y[:, 0]) - beta[0] * np.einsum("kn,k->n", V_x, C_x[:, 0])
     notes = {"slope_identified": bool(identified[0])}
-    return NetcohFit(alpha=alpha, beta=float(beta[0]), lam=float(lam), notes=notes)
+    return NetcohFit(alpha=alpha, beta=float(beta[0]), lam=lam, notes=notes)
 
 
 def predict_netcoh(fit: NetcohFit, covariate) -> np.ndarray:
@@ -115,28 +121,10 @@ def _lapack(routine: str, *args, **kwargs) -> list:
     return out
 
 
-def _inputs(adjacency, covariate, response):
-    """A, A in Fortran order (A.T, no copy, when A is C-contiguous), x and y as float arrays.
-
-    Raises ValueError unless A is finite, symmetric and n x n, and x, y are
-    finite n-vectors.
-    """
-    A = np.asarray(adjacency, dtype=np.float64)
-    x = np.asarray(covariate, dtype=np.float64)
-    y = np.asarray(response, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"covariate must be a vector, got shape {x.shape}")
-    n = x.size
-    if A.shape != (n, n):
-        raise ValueError(f"adjacency must be {n} x {n} to match the covariate, got shape {A.shape}")
-    if y.shape != (n,):
-        raise ValueError(f"response must have shape ({n},) to match the covariate, got {y.shape}")
-    for name, values in (("adjacency", A), ("covariate", x), ("response", y)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} has non-finite entries")
-    if not np.array_equal(A, A.T):
-        raise ValueError("adjacency must be symmetric")
-    return A, A.T if A.flags.c_contiguous else np.asfortranarray(A), x, y
+def _checked(adjacency, covariate, response):
+    """A, A in Fortran order, x and y: A finite, symmetric and n x n, x and y finite n-vectors."""
+    x = vector(covariate, None, "covariate")
+    return (*symmetric(adjacency, x.size), x, vector(response, x.size, "response"))
 
 
 # A Lanczos run stops once the Galerkin residual of every grid lambda is below
@@ -361,7 +349,7 @@ def cv_select_lambda(
     folds. Raises LinAlgError when some I + lam L_tt is not positive definite
     (negative edge weights).
     """
-    A, A_f, x, y = _inputs(adjacency, covariate, response)
+    A, A_f, x, y = _checked(adjacency, covariate, response)
     n = x.size
     if not 2 <= n_folds <= n:
         raise ValueError(f"n_folds must be in [2, {n}], got {n_folds}")
@@ -383,7 +371,7 @@ def cv_select_lambda(
         ungrounded += pass_ungrounded
     cv_errors = total_sq_err / n
     best = int(np.argmin(cv_errors))
-    fit = fit_netcoh(A, x, y, float(lambdas[best]))
+    fit = _refit(A_f, deg, x, y, float(lambdas[best]))
     fit.cv_curve = list(zip(lambdas.tolist(), cv_errors.tolist()))
     fit.notes.update(
         n_folds=n_folds,

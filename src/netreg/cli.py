@@ -104,13 +104,23 @@ def _cmd_detect(args) -> int:
 _STRUCTURE_FITTERS = {"full": fit_full, "row": fit_row, "singleton": fit_singleton}
 
 
-def _load_fit_inputs(args):
+def _check_rows(path, rows: int, x_path, n: int) -> None:
+    if rows != n:
+        raise ValueError(f"{path} has {rows} rows but {x_path} has {n}")
+
+
+def _read_xy(args):
     x = _read_column_csv(args.x)
     y = _read_column_csv(args.y)
-    n = x.size
-    A = load_edge_list(args.network, n)
+    _check_rows(args.y, y.size, args.x, x.size)
+    return x, y
+
+
+def _load_fit_inputs(args):
+    x, y = _read_xy(args)
     membership = Membership.from_csv(args.membership)
-    return A, x, y, membership
+    _check_rows(args.membership, membership.n, args.x, x.size)
+    return load_edge_list(args.network, x.size), x, y, membership
 
 
 def _cmd_fit(args) -> int:
@@ -140,8 +150,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_netcoh(args) -> int:
-    x = _read_column_csv(args.x)
-    y = _read_column_csv(args.y)
+    x, y = _read_xy(args)
     A = load_edge_list(args.network, x.size)
     if args.lam is not None:
         fit = fit_netcoh(A, x, y, args.lam)

@@ -17,6 +17,7 @@ from scipy.linalg import blas, eigh
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from ._inputs import symmetric
 from ._io import write_csv
 
 # Brute force over K! permutations up to this K; Hungarian above it.
@@ -139,36 +140,20 @@ class SpectralEmbedding:
     zero_rows: np.ndarray = field(repr=False)
 
 
-def reject_non_finite_rows(M: np.ndarray, of: str = "") -> None:
-    """Raise ValueError naming the first row of M with a non-finite entry.
-
-    M is an adjacency matrix, or a product of one named by ``of`` (e.g.
-    " of its aggregate"), whose non-finite rows are those of A.
-    """
-    finite = np.isfinite(M)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise ValueError(f"adjacency must be finite; row {row}{of} is not")
-
-
-def _leading_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of symmetric A for the k largest-magnitude eigenvalues.
+def _leading_eigenpairs(A: np.ndarray, A_f: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of A, as ``_inputs.symmetric`` returns it, for the k largest |eigenvalues|.
 
     Returned in descending |eigenvalue| order (ties broken by descending
     eigenvalue), with a deterministic sign convention: each vector's
     largest-magnitude entry is positive. Both solvers are scipy's (README,
-    "One OpenBLAS pool"); a non-finite A is rejected before either runs.
+    "One OpenBLAS pool"); ARPACK's products read A_f, A in Fortran order.
     """
-    reject_non_finite_rows(A)
     n = A.shape[0]
     if n <= _DENSE_EIG_MAX_N or k >= n - 1:
         # dsyevd on the lower triangle, as numpy's eigh.
         vals, vecs = eigh(A, driver="evd", check_finite=False)
     else:
-        # A symmetric C-ordered A is, as A.T, the same matrix in Fortran
-        # order; any other layout is copied once here, never per product.
-        F = A.T if A.flags.c_contiguous else np.asfortranarray(A)
-        op = LinearOperator(A.shape, matvec=lambda v: blas.dsymv(1.0, F, v), dtype=np.float64)
+        op = LinearOperator(A.shape, matvec=lambda v: blas.dsymv(1.0, A_f, v), dtype=np.float64)
         # Fixed start vector keeps Lanczos deterministic.
         v0 = np.full(n, 1.0 / np.sqrt(n))
         vals, vecs = eigsh(op, k=k, which="LM", v0=v0)
@@ -203,12 +188,12 @@ def spectral_embed(adjacency, n_communities: int) -> SpectralEmbedding:
     so the embedding columns are the eigenvectors with largest |eigenvalue|.
     Rows are normalized to unit Euclidean norm.
     """
-    A = np.asarray(adjacency, dtype=np.float64)
+    A, A_f = symmetric(adjacency)
     n = A.shape[0]
     K = int(n_communities)
     if not 1 <= K <= n:
         raise ValueError(f"n_communities must be in [1, {n}], got {K}")
-    return _embedding(*_leading_eigenpairs(A, K))
+    return _embedding(*_leading_eigenpairs(A, A_f, K))
 
 
 @dataclass(frozen=True)
@@ -252,11 +237,11 @@ def estimate_k(adjacency, k_max: int) -> ScreeResult:
     separation within the first k_max values) yields suggestion 1 with the
     ``flat_scree`` flag.
     """
-    A = np.asarray(adjacency, dtype=np.float64)
+    A, A_f = symmetric(adjacency)
     n = A.shape[0]
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must be in [1, {n}], got {k_max}")
-    vals, vecs = _leading_eigenpairs(A, k_max)
+    vals, vecs = _leading_eigenpairs(A, A_f, k_max)
     sigma = np.abs(vals)
     p = float(np.clip((A.sum() - np.trace(A)) / max(n * (n - 1), 1), 0.0, 1.0))
     bulk_edge = 1.1 * 2.0 * float(np.sqrt(n * p * (1.0 - p)))

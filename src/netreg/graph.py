@@ -13,28 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import symmetric
 from .community import Membership
 
 
 class EdgeListFormatError(ValueError):
-    """Raised for malformed edge-list files; carries the offending line number."""
+    """Raised for malformed edge-list files ("<path>: line <n>: ..."); keeps ``line_number``."""
 
-    def __init__(self, message: str, line_number: int | None = None):
+    def __init__(self, message: str, line_number: int | None = None, path=None):
         if line_number is not None:
             message = f"line {line_number}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line_number = line_number
 
 
 def validate_adjacency(adjacency) -> np.ndarray:
     """Check symmetry, {0,1} entries, and unit diagonal; return a float64 array."""
-    A = np.asarray(adjacency, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {A.shape}")
+    A, _ = symmetric(adjacency)
     if not np.all((A == 0.0) | (A == 1.0)):
         raise ValueError("adjacency entries must be 0 or 1")
-    if not np.array_equal(A, A.T):
-        raise ValueError("adjacency must be symmetric")
     if not np.all(np.diag(A) == 1.0):
         raise ValueError("adjacency must have unit diagonal (self-loops)")
     return A
@@ -141,17 +140,17 @@ def _scan_edge_list(path, n: int, A: np.ndarray) -> None:
             parts = line.split()
             if len(parts) != 2:
                 raise EdgeListFormatError(
-                    f"expected two node indices, got {len(parts)} tokens", line_no
+                    f"expected two node indices, got {len(parts)} tokens", line_no, path
                 )
             try:
                 i, j = int(parts[0]), int(parts[1])
             except ValueError:
                 raise EdgeListFormatError(
-                    f"non-integer node index in {line!r}", line_no
+                    f"non-integer node index in {line!r}", line_no, path
                 ) from None
             if not (0 <= i < n and 0 <= j < n):
                 raise EdgeListFormatError(
-                    f"node index out of range [0, {n}) in {line!r}", line_no
+                    f"node index out of range [0, {n}) in {line!r}", line_no, path
                 )
             A[i, j] = 1.0
             A[j, i] = 1.0

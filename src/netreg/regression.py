@@ -23,25 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
+from ._inputs import reject_non_finite_rows, square, vector
 from ._io import write_csv, write_json
-from .community import Membership, reject_non_finite_rows
-
-
-def _as_vector(v, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
-def _check_inputs(adjacency, membership: Membership) -> np.ndarray:
-    A = np.asarray(adjacency, dtype=np.float64)
-    n = membership.n
-    if A.shape != (n, n):
-        raise ValueError(f"adjacency must be {n}x{n}, got {A.shape}")
-    return A
+from .community import Membership
 
 
 def pinv_psd(H, scale_rows: int) -> tuple[np.ndarray, bool]:
@@ -74,7 +58,7 @@ def aggregate(adjacency, covariates, membership: Membership) -> np.ndarray:
     and 0 * inf are nan), so checking the n x pK result rejects it without a
     pass over A.
     """
-    A = np.asarray(adjacency, dtype=np.float64)
+    A = square(adjacency, membership.n)
     M = (covariates[:, :, None] * membership.onehot()[:, None, :]).reshape(membership.n, -1)
     N = blas.dgemm(1.0, A.T, M, trans_a=1)
     reject_non_finite_rows(N, " of its aggregate")
@@ -92,8 +76,8 @@ def build_design(adjacency, covariate, membership: Membership, community: int) -
     Entry (i, k') is sum over neighbors j of i in community k' of x_j when i
     belongs to ``community``, zero otherwise.
     """
-    A = _check_inputs(adjacency, membership)
-    x = _as_vector(covariate, membership.n, "covariate")
+    A = square(adjacency, membership.n)
+    x = vector(covariate, membership.n, "covariate")
     K = membership.n_communities
     if not 0 <= community < K:
         raise ValueError(f"community must be in [0, {K}), got {community}")
@@ -158,22 +142,22 @@ class FitResult:
         write_csv(path, ["node_id", "fitted"], enumerate(self.fitted.tolist()))
 
 
-def fit_full(adjacency, covariate, response, membership: Membership) -> FitResult:
-    """Blockwise least squares: solve M_k^T M_k b = M_k^T y per community.
+def _fit(adjacency, covariate, response, membership: Membership, structure, solve) -> FitResult:
+    """The structure fitters' one body: check the inputs, aggregate once, solve, predict.
 
-    Each row of the returned K x K coefficient matrix is estimated from the
-    responses of one community; rank-deficient communities get the min-norm
-    solution and are flagged in the result.
+    ``solve(N, y, membership)`` returns the K x K coefficients and the
+    min-norm flags; ``predict`` is looked up at call time, so wrapping the
+    module global wraps this call too.
     """
-    A = _check_inputs(adjacency, membership)
-    x = _as_vector(covariate, membership.n, "covariate")
-    y = _as_vector(response, membership.n, "response")
+    A = square(adjacency, membership.n)
+    x = vector(covariate, membership.n, "covariate")
+    y = vector(response, membership.n, "response")
     N = aggregate(A, x[:, None], membership)
-    beta, flags = _solve_per_community(N, y, membership)
+    beta, flags = solve(N, y, membership)
     fitted = predict(A, x, membership, beta, aggregates=N)
     return FitResult(
         beta=beta,
-        structure="full",
+        structure=structure,
         membership=membership,
         fitted=fitted,
         residuals=y - fitted,
@@ -182,14 +166,24 @@ def fit_full(adjacency, covariate, response, membership: Membership) -> FitResul
     )
 
 
+def fit_full(adjacency, covariate, response, membership: Membership) -> FitResult:
+    """Blockwise least squares: solve M_k^T M_k b = M_k^T y per community.
+
+    Each row of the returned K x K coefficient matrix is estimated from the
+    responses of one community; rank-deficient communities get the min-norm
+    solution and are flagged in the result.
+    """
+    return _fit(adjacency, covariate, response, membership, "full", _solve_per_community)
+
+
 def predict(adjacency, covariate, membership: Membership, beta, aggregates=None) -> np.ndarray:
     """Model predictions ((Z beta Z^T) * A) x for a given coefficient matrix.
 
     ``aggregates`` is ``aggregate(A, x[:, None], membership)`` when the caller
     already holds it (the fitters do); it is then used instead of recomputed.
     """
-    A = _check_inputs(adjacency, membership)
-    x = _as_vector(covariate, membership.n, "covariate")
+    A = square(adjacency, membership.n)
+    x = vector(covariate, membership.n, "covariate")
     beta = np.asarray(beta, dtype=np.float64)
     K = membership.n_communities
     if beta.shape != (K, K):
@@ -203,7 +197,7 @@ def predict(adjacency, covariate, membership: Membership, beta, aggregates=None)
 
 def loss(adjacency, covariate, response, membership: Membership, beta) -> float:
     """Half mean squared error of the model predictions."""
-    y = _as_vector(response, membership.n, "response")
+    y = vector(response, membership.n, "response")
     r = y - predict(adjacency, covariate, membership, beta)
     return 0.5 * float(r @ r) / membership.n
 
@@ -212,7 +206,7 @@ def loss_community(
     adjacency, covariate, response, membership: Membership, beta, community: int
 ) -> float:
     """Per-community half MSE; the total loss is their size-weighted average."""
-    y = _as_vector(response, membership.n, "response")
+    y = vector(response, membership.n, "response")
     beta = np.asarray(beta, dtype=np.float64)
     M = build_design(adjacency, covariate, membership, community)
     mask = membership.labels == community
@@ -221,62 +215,38 @@ def loss_community(
     return 0.5 * float(r @ r) / n_k
 
 
+def _solve_row(N, y, membership: Membership) -> tuple[np.ndarray, list]:
+    b0, deficient = solve_normal_equations(N.T @ N, N.T @ y, scale_rows=membership.n)
+    return np.tile(b0, (membership.n_communities, 1)), [deficient]
+
+
 def fit_row(adjacency, covariate, response, membership: Membership) -> FitResult:
     """Row-structured fit: one coefficient per source community, shared by all targets.
 
     Reduces to a single K-dimensional regression of y on the neighborhood
     aggregates (A * x) Z over all nodes.
     """
-    A = _check_inputs(adjacency, membership)
-    n, K = membership.n, membership.n_communities
-    x = _as_vector(covariate, n, "covariate")
-    y = _as_vector(response, n, "response")
-    N = aggregate(A, x[:, None], membership)
-    b0, deficient = solve_normal_equations(N.T @ N, N.T @ y, scale_rows=n)
-    beta = np.tile(b0, (K, 1))
-    fitted = predict(A, x, membership, beta, aggregates=N)
-    return FitResult(
-        beta=beta,
-        structure="row",
-        membership=membership,
-        fitted=fitted,
-        residuals=y - fitted,
-        aggregates=N,
-        min_norm=[deficient],
-    )
+    return _fit(adjacency, covariate, response, membership, "row", _solve_row)
 
 
-def fit_singleton(adjacency, covariate, response, membership: Membership) -> FitResult:
-    """Singleton fit: a single scalar slope on the full neighborhood sum A x."""
-    A = _check_inputs(adjacency, membership)
-    n, K = membership.n, membership.n_communities
-    x = _as_vector(covariate, n, "covariate")
-    y = _as_vector(response, n, "response")
-    N = aggregate(A, x[:, None], membership)
+def _solve_singleton(N, y, membership: Membership) -> tuple[np.ndarray, list]:
     v = N.sum(axis=1)
     denom = float(v @ v)
     if denom <= 0.0:
         raise ValueError("degenerate input: x^T A^2 x is zero")
-    b0 = float(v @ y) / denom
-    beta = np.full((K, K), b0, dtype=np.float64)
-    fitted = predict(A, x, membership, beta, aggregates=N)
-    return FitResult(
-        beta=beta,
-        structure="singleton",
-        membership=membership,
-        fitted=fitted,
-        residuals=y - fitted,
-        aggregates=N,
-        min_norm=[False],
-    )
+    K = membership.n_communities
+    return np.full((K, K), float(v @ y) / denom), [False]
+
+
+def fit_singleton(adjacency, covariate, response, membership: Membership) -> FitResult:
+    """Singleton fit: a single scalar slope on the full neighborhood sum A x."""
+    return _fit(adjacency, covariate, response, membership, "singleton", _solve_singleton)
 
 
 def fit_ols(covariate, response) -> tuple[float, np.ndarray]:
     """No-intercept simple regression slope and fitted values (the R^2 baseline)."""
-    x = np.asarray(covariate, dtype=np.float64)
-    y = np.asarray(response, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("covariate and response must be 1-d of equal length")
+    x = vector(covariate, None, "covariate")
+    y = vector(response, x.size, "response")
     denom = float(x @ x)
     if denom <= 0.0:
         raise ValueError("degenerate input: x^T x is zero")
@@ -307,9 +277,9 @@ def center_data(adjacency, covariate, response, membership: Membership) -> Cente
     the source community's covariates weighted by each node's share of the
     edges between k' and k.
     """
-    A = _check_inputs(adjacency, membership)
-    x = _as_vector(covariate, membership.n, "covariate")
-    y = _as_vector(response, membership.n, "response")
+    A = square(adjacency, membership.n)
+    x = vector(covariate, membership.n, "covariate")
+    y = vector(response, membership.n, "response")
     Z = membership.onehot()
     labels = membership.labels
     K = membership.n_communities
@@ -348,8 +318,8 @@ def fit_full_multi(adjacency, covariates, response, membership: Membership) -> M
     by side, so each row solves a Kp-dimensional problem; for p = 1 this is
     exactly the single-covariate fit.
     """
-    A = _check_inputs(adjacency, membership)
     n, K = membership.n, membership.n_communities
+    A = square(adjacency, n)
     X = np.asarray(covariates, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != n:
         raise ValueError(f"covariates must be n x p with n = {n}, got {X.shape}")
@@ -358,7 +328,7 @@ def fit_full_multi(adjacency, covariates, response, membership: Membership) -> M
     p = X.shape[1]
     if p < 1:
         raise ValueError("need at least one covariate column")
-    y = _as_vector(response, n, "response")
+    y = vector(response, n, "response")
     N = aggregate(A, X, membership)
     # Row k holds community k's coefficients in N's column order l * K + k'.
     coef, flags = _solve_per_community(N, y, membership)

@@ -26,3 +26,16 @@ def small_instance(seed: int, n: int = 40, n_communities: int = 2):
     A = sample_sbm(params, seed=seed + 1)
     x = rng.standard_normal(n)
     return A, x, params.membership
+
+
+def in_layout(A, layout: str):
+    """A as a C-ordered, Fortran-ordered, strided or integer array."""
+    if layout == "fortran":
+        return np.asfortranarray(A)
+    if layout == "strided":
+        padded = np.zeros((2 * A.shape[0], 2 * A.shape[1]), dtype=A.dtype)
+        padded[::2, ::2] = A
+        return padded[::2, ::2]
+    if layout == "integer":
+        return A.astype(np.int64)
+    return A

@@ -381,18 +381,21 @@ def malformed_inputs():
     A, x, y = connected_instance(36, n=60)
     directed = A.copy()
     directed[0, 1], directed[1, 0] = 1.0, 0.0
-    yield "directed", directed, x, y, "symmetric"
+    message = r"^adjacency must be symmetric; A\[0, 1\] = 1 but A\[1, 0\] = 0$"
+    yield "directed", directed, x, y, message
     y_nan = y.copy()
     y_nan[7] = np.nan
-    yield "nan_response", A, x, y_nan, "response has non-finite"
+    yield "nan_response", A, x, y_nan, "^response must be finite; node 7 is not$"
     x_inf = x.copy()
     x_inf[3] = np.inf
-    yield "inf_covariate", A, x_inf, y, "covariate has non-finite"
+    yield "inf_covariate", A, x_inf, y, "^covariate must be finite; node 3 is not$"
     A_nan = A.copy()
     A_nan[2, 5] = A_nan[5, 2] = np.nan
-    yield "nan_adjacency", A_nan, x, y, "adjacency has non-finite"
+    yield "nan_adjacency", A_nan, x, y, "^adjacency must be finite; row 2 is not$"
     yield "short_response", A, x, y[:-1], r"response must have shape \(60,\)"
     yield "oversized_adjacency", np.pad(A, (0, 1)), x, y, "adjacency must be 60 x 60"
+    message = r"^adjacency must be 60 x 60, got shape \(60, 59\)$"
+    yield "non_square_adjacency", A[:, :-1], x, y, message
 
 
 @pytest.mark.parametrize("fitter", ["cv_select_lambda", "fit_netcoh"])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -348,3 +349,22 @@ def test_experiment_bad_config_exits_with_one_line(tmp_path):
     with pytest.raises(SystemExit, match="not estimator 'netcoh'"):
         main(["experiment", *flags, "--set", 'estimators=["netcoh"]', "--out", str(tmp_path / "b")])
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize(
+    "command, short",
+    [("fit", "y"), ("fit", "membership"), ("infer", "y"), ("infer", "membership"), ("netcoh", "y")],
+)
+def test_length_mismatch_names_both_files(workspace, command, short):
+    # A short y.csv or membership used to end in "adjacency must be 59x59"
+    # or a shape error on "response", naming neither file.
+    path = workspace[short]
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    argv = [command, "--network", str(workspace["net"]), "--x", str(workspace["x"])]
+    argv += ["--y", str(workspace["y"]), "--out", str(workspace["dir"] / "out")]
+    if command != "netcoh":
+        argv += ["--membership", str(workspace["membership"])]
+    message = rf"^{re.escape(str(path))} has 59 rows but {re.escape(str(workspace['x']))} has 60$"
+    with pytest.raises(ValueError, match=message):
+        main(argv)
+    assert not (workspace["dir"] / "out").exists()

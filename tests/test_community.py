@@ -18,9 +18,10 @@ from netreg import (
     spectral_embed,
 )
 from netreg import community
+from netreg._inputs import symmetric
 from netreg.cli import main
 from netreg.community import _DENSE_EIG_MAX_N, DegenerateInputError, _leading_eigenpairs
-from netreg.graph import load_edge_list, save_edge_list
+from netreg.graph import load_edge_list, save_adjacency_csv, save_edge_list
 from netreg.simharness import gen_instance
 
 
@@ -315,7 +316,7 @@ def lanczos_cases():
 @pytest.mark.parametrize("case", list(lanczos_cases()), ids=lambda c: c[0])
 def test_lanczos_eigenpairs_match_dense_eigh(case):
     _, A, k = case
-    vals, vecs = _leading_eigenpairs(A, k)
+    vals, vecs = _leading_eigenpairs(*symmetric(A), k)
     w, V = np.linalg.eigh(A)
     order = np.argsort(-np.abs(w))[:k]
     np.testing.assert_allclose(vals, w[order], rtol=1e-10, atol=0)
@@ -339,7 +340,7 @@ def test_lanczos_result_does_not_depend_on_memory_layout():
     padded[::2, ::2] = A
     layouts = [A, np.asfortranarray(A), padded[::2, ::2]]
     assert not layouts[2].flags.c_contiguous and not layouts[2].flags.f_contiguous
-    results = [_leading_eigenpairs(M, 5) for M in layouts]
+    results = [_leading_eigenpairs(*symmetric(M), 5) for M in layouts]
     for vals, vecs in results[1:]:
         assert np.array_equal(vals, results[0][0])
         assert np.array_equal(vecs, results[0][1])
@@ -358,7 +359,7 @@ def _numpy_leading_eigenpairs(A, k):
 def test_dense_eigenpairs_match_numpy_eigh(n, k):
     rng = np.random.default_rng(n)
     A = sample_sbm(assortative_params(rng, n, 3), seed=n + 1)
-    vals, vecs = _leading_eigenpairs(A, k)
+    vals, vecs = _leading_eigenpairs(*symmetric(A), k)
     ref_vals, ref_vecs = _numpy_leading_eigenpairs(A, k)
     np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-10 * np.abs(ref_vals).max())
     np.testing.assert_allclose(vecs, ref_vecs, rtol=0, atol=1e-8)
@@ -377,17 +378,45 @@ _EIGEN_USERS = {
 }
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def _malformed(A, bad):
+    """A with one defect, and the one message every consumer of A gives for it."""
+    if bad == "directed":
+        A[3, 7], A[7, 3] = 1.0, 0.0
+        return A, r"^adjacency must be symmetric; A\[3, 7\] = 1 but A\[7, 3\] = 0$"
+    if bad == "non_square":
+        n = A.shape[0]
+        return A[:, :-1], rf"^adjacency must be n x n, got shape \({n}, {n - 1}\)$"
+    A[3, 7] = A[7, 3] = bad
+    return A, "^adjacency must be finite; row 3 is not$"
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, "directed", "non_square"], ids=["nan", "inf", "directed", "non_square"]
+)
 @pytest.mark.parametrize("n", [50, _DENSE_EIG_MAX_N + 100], ids=["dense", "lanczos"])
 @pytest.mark.parametrize("name", sorted(_EIGEN_USERS))
 def test_non_finite_adjacency_fails_before_the_eigensolver(capfd, name, n, bad):
+    # A directed A used to be read through its lower triangle, and a
+    # non-square one failed inside scipy without naming the adjacency.
     rng = np.random.default_rng(51)
-    A = sample_sbm(assortative_params(rng, n, 3), seed=52)
-    A[3, 7] = A[7, 3] = bad
-    with pytest.raises(ValueError, match="^adjacency must be finite; row 3 is not$"):
+    A, message = _malformed(sample_sbm(assortative_params(rng, n, 3), seed=52), bad)
+    with pytest.raises(ValueError, match=message):
         _EIGEN_USERS[name](A)
     # LAPACK prints nothing: no solver saw the matrix.
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, "directed", "non_square"], ids=["nan", "directed", "non_square"]
+)
+@pytest.mark.parametrize("writer", [save_edge_list, save_adjacency_csv], ids=lambda w: w.__name__)
+def test_writers_reject_malformed_adjacency(tmp_path, writer, bad):
+    rng = np.random.default_rng(53)
+    A, message = _malformed(sample_sbm(assortative_params(rng, 30, 2), seed=54), bad)
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match=message):
+        writer(A, path)
+    assert not path.exists()
 
 
 def test_scree_embedding_equals_spectral_embed_on_dense_path():

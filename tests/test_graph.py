@@ -15,6 +15,7 @@ from netreg import (
     validate_adjacency,
 )
 from netreg import graph
+from netreg.cli import main
 from netreg.graph import EdgeListFormatError
 
 
@@ -149,6 +150,15 @@ def test_edge_list_errors(tmp_path):
         load_edge_list(not_int, 3)
 
 
+def test_edge_list_error_names_the_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text("0 5\n")
+    message = r"^bad\.txt: line 1: node index out of range \[0, 3\) in '0 5'$"
+    with pytest.raises(EdgeListFormatError, match=message) as excinfo:
+        main(["detect", "--network", "bad.txt", "--n", "3", "--out", "m.csv"])
+    assert excinfo.value.line_number == 1
+
+
 def test_adjacency_csv_export(tmp_path):
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     path = tmp_path / "a.csv"
@@ -191,17 +201,17 @@ def _load_edge_list_reference(path, n):
             parts = line.split()
             if len(parts) != 2:
                 raise EdgeListFormatError(
-                    f"expected two node indices, got {len(parts)} tokens", line_no
+                    f"expected two node indices, got {len(parts)} tokens", line_no, path
                 )
             try:
                 i, j = int(parts[0]), int(parts[1])
             except ValueError:
                 raise EdgeListFormatError(
-                    f"non-integer node index in {line!r}", line_no
+                    f"non-integer node index in {line!r}", line_no, path
                 ) from None
             if not (0 <= i < n and 0 <= j < n):
                 raise EdgeListFormatError(
-                    f"node index out of range [0, {n}) in {line!r}", line_no
+                    f"node index out of range [0, {n}) in {line!r}", line_no, path
                 )
             A[i, j] = 1.0
             A[j, i] = 1.0

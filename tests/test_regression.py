@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_membership, small_instance
+from conftest import in_layout, random_membership, small_instance
 from netreg import (
     Membership,
     build_design,
@@ -354,17 +354,14 @@ def test_non_finite_adjacency_is_rejected(name, bad):
         _ADJACENCY_USERS[name](A, x, y, m)
 
 
-def _layout(A, layout):
-    """A as a C-ordered, Fortran-ordered, strided or integer array."""
-    if layout == "fortran":
-        return np.asfortranarray(A)
-    if layout == "strided":
-        padded = np.zeros((2 * A.shape[0], 2 * A.shape[1]), dtype=A.dtype)
-        padded[::2, ::2] = A
-        return padded[::2, ::2]
-    if layout == "integer":
-        return A.astype(np.int64)
-    return A
+@pytest.mark.parametrize("name", sorted(_ADJACENCY_USERS))
+def test_directed_adjacency_is_accepted(name):
+    # The model's A is any neighbourhood matrix; only the spectral path, the
+    # cohesion fits and the writers need it undirected.
+    A, x, m = small_instance(39, n=60, n_communities=2)
+    y = np.random.default_rng(40).standard_normal(60)
+    A[0, 1], A[1, 0] = 1.0, 0.0
+    _ADJACENCY_USERS[name](A, x, y, m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -388,7 +385,7 @@ def test_aggregate_matches_numpy_product(n, K, p, layout, symmetric, weighted, s
     X = rng.standard_normal((n, p))
     M = (X[:, :, None] * m.onehot()[:, None, :]).reshape(n, -1)
     ref = A @ M
-    given_A = _layout(A, layout)
+    given_A = in_layout(A, layout)
     kept = given_A.copy()
     N = aggregate(given_A, X, m)
     scale = float((np.abs(A) @ np.abs(M)).max())
