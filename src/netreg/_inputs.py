@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Rows per block of the symmetry pass.
-_BLOCK = 64
+# Rows per block of the symmetry pass, and of the 0/1 check in graph.validate_adjacency.
+_BLOCK = 32
 
 
 def reject_non_finite_rows(M: np.ndarray, of: str = "") -> None:
@@ -40,12 +40,13 @@ def symmetric(adjacency, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
 
     One pass over the upper triangle checks both: A[i:i+b, i:] - A[i:, i:i+b].T
     is 0 exactly where a pair is finite and equal (inf - inf is nan, and an
-    overflowing difference is inf). For C-contiguous A the Fortran view is A.T.
+    overflowing difference is inf), so a nonzero (nan included) entry fails.
+    For C-contiguous A the Fortran view is A.T.
     """
     A = square(adjacency, n)
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(0, A.shape[0], _BLOCK):
-            if not (A[i : i + _BLOCK, i:] - A[i:, i : i + _BLOCK].T == 0.0).all():
+            if (A[i : i + _BLOCK, i:] - A[i:, i : i + _BLOCK].T).any():
                 reject_non_finite_rows(A)
                 r, c = np.argwhere(A != A.T)[0]  # the first in row-major order
                 a, b = (np.format_float_positional(v, trim="-") for v in (A[r, c], A[c, r]))

@@ -19,7 +19,7 @@ from scipy.linalg import blas, lapack
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ._inputs import square, symmetric, vector
+from ._inputs import symmetric, vector
 from ._io import write_json
 
 DEFAULT_GRID_SIZE = 100
@@ -27,8 +27,8 @@ DEFAULT_GRID_RANGE = (1e-3, 10.0)
 
 
 def laplacian(adjacency) -> np.ndarray:
-    """Combinatorial graph Laplacian diag(A 1) - A (self-loops cancel)."""
-    A = square(adjacency)
+    """Combinatorial graph Laplacian diag(A 1) - A (self-loops cancel); A finite and symmetric."""
+    A, _ = symmetric(adjacency)
     L = -A
     L[np.diag_indices_from(L)] += A.sum(axis=1)
     return L

@@ -322,8 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Bad input (a ValueError or an OSError) exits with one line.
+
+    The line is ``netreg <command>: <message>`` on stderr, with exit status 1;
+    any other exception is a bug and keeps its traceback.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"netreg {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -8,13 +8,16 @@ diagonal.
 
 from __future__ import annotations
 
-import warnings
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import symmetric
+from ._inputs import _BLOCK, symmetric
 from .community import Membership
+
+# Rows per block of ``sample_sbm``, and square tiles of ``_mirror_upper``.
+_TILE = 128
 
 
 class EdgeListFormatError(ValueError):
@@ -32,9 +35,11 @@ class EdgeListFormatError(ValueError):
 def validate_adjacency(adjacency) -> np.ndarray:
     """Check symmetry, {0,1} entries, and unit diagonal; return a float64 array."""
     A, _ = symmetric(adjacency)
-    if not np.all((A == 0.0) | (A == 1.0)):
-        raise ValueError("adjacency entries must be 0 or 1")
-    if not np.all(np.diag(A) == 1.0):
+    for i in range(0, A.shape[0], _BLOCK):
+        rows = A[i : i + _BLOCK]
+        if not ((rows == 0.0) | (rows == 1.0)).all():
+            raise ValueError("adjacency entries must be 0 or 1")
+    if not (A.diagonal() == 1.0).all():
         raise ValueError("adjacency must have unit diagonal (self-loops)")
     return A
 
@@ -67,17 +72,34 @@ def sample_sbm(params: SbmParams, seed: int) -> np.ndarray:
     over the strict upper triangle, so identical seeds give bit-identical
     matrices. Row i draws its ``n - 1 - i`` uniforms in one call, which is the
     same stream as one draw over the whole triangle.
+
+    Rows are drawn ``_TILE`` at a time into a bool buffer, which is copied into
+    the float64 result and, transposed, into its mirror below; nothing n x n
+    is allocated but the result.
     """
     labels = params.membership.labels
     n = labels.size
-    probs_to = params.block_probs[:, labels]  # K x n: B[k, label_j]
+    probs_to = list(params.block_probs[:, labels])  # K rows: B[k, label_j]
+    label_of = labels.tolist()
     rng = np.random.default_rng(seed)
-    upper = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        upper[i, i + 1 :] = rng.random(n - 1 - i) < probs_to[labels[i], i + 1 :]
-    upper = upper | upper.T
-    np.fill_diagonal(upper, True)
-    return upper.astype(np.float64)
+    A = np.empty((n, n), dtype=np.float64)  # every entry is written below
+    block = np.empty((_TILE, n), dtype=bool)
+    draws = np.empty(n, dtype=np.float64)
+    for r in range(0, n, _TILE):
+        rows = block[: min(_TILE, n - r), r:]  # rows r.., columns r..
+        b = rows.shape[0]
+        rows[:, :b] = False
+        for k in range(b):
+            i = r + k
+            row = draws[: n - 1 - i]
+            rng.random(out=row)
+            np.less(row, probs_to[label_of[i]][i + 1 :], out=rows[k, k + 1 :])
+        rows[:, :b] |= rows[:, :b].T  # the diagonal tile, mirrored
+        A[r : r + b, r:] = rows
+        # Transposed as bool first; the cast into A then runs along rows.
+        A[r + b :, r : r + b] = np.ascontiguousarray(rows[:, b:].T)
+    np.fill_diagonal(A, 1.0)
+    return A
 
 
 def network_sparsity(block_probs) -> float:
@@ -98,36 +120,123 @@ def load_edge_list(path, n: int) -> np.ndarray:
     end in LF or CRLF and may carry leading or trailing spaces or tabs.
     Self-loops are forced to 1 regardless of the file content.
 
-    The whole file is first parsed in one vectorised read. A file that read
-    cannot take (a comment, a non-integer token, a wrong token count, an
-    index out of range, no data) is parsed again by the line scan
+    The file is parsed and scattered into A in chunks of whole lines (about
+    ``_CHUNK`` bytes), so besides A only one chunk's arrays are held. A file
+    the vectorised chunk parse cannot take (a comment, a non-integer token, a
+    wrong token count, an index out of range) is read again by the line scan
     ``_scan_edge_list``, which is the reference for the grammar and the only
     source of ``EdgeListFormatError`` and its line number.
     """
     if n < 1:
         raise ValueError("n must be positive")
     A = np.zeros((n, n), dtype=np.float64)
-    pairs = _read_edge_pairs(path, n)
-    if pairs is None:
-        _scan_edge_list(path, n, A)
+    if _read_upper(path, n, A):
+        _mirror_upper(A)
     else:
-        A[pairs[:, 0], pairs[:, 1]] = 1.0
-        A[pairs[:, 1], pairs[:, 0]] = 1.0
+        _scan_edge_list(path, n, A)  # the edges set so far are the file's own
     np.fill_diagonal(A, 1.0)
     return A
 
 
-def _read_edge_pairs(path, n: int) -> np.ndarray | None:
-    """The file as an (m, 2) int64 array of in-range pairs, or None to defer to the scan."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            pairs = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2, encoding="utf-8")
-    except (ValueError, OverflowError, Warning):
+# Bytes read per chunk; a chunk's arrays take about 16 bytes per byte read.
+_CHUNK = 1 << 16
+# Longest node id the chunk parse decodes (int32 arithmetic); a longer one goes to the scan.
+_MAX_DIGITS = 8
+_DIGITS_BLANKS_BREAKS = b"0123456789 \t\r\n"
+_IS_BLANK = np.zeros(256, dtype=bool)
+_IS_BLANK[[ord(" "), ord("\t")]] = True
+_IS_BREAK = np.zeros(256, dtype=bool)
+_IS_BREAK[[ord("\n"), ord("\r")]] = True
+# Line breaks with the blanks around them, and runs of blanks; see _parse_chunk.
+_LINE_BREAKS = re.compile(rb"[ \t]*[\r\n][\r\n \t]*")
+_BLANKS = re.compile(rb"[ \t]+")
+
+
+def _read_upper(path, n: int, A: np.ndarray) -> bool:
+    """Set A[min(i, j), max(i, j)] = 1 for every edge; False (A part set) defers to the scan."""
+    flat = A.reshape(-1)
+    with open(path, "rb") as fh:
+        tail = b""
+        while True:
+            data = fh.read(_CHUNK)
+            text = b"\n" + tail + (data or b"\n")
+            cut = max(text.rfind(b"\n"), text.rfind(b"\r")) + 1
+            text, tail = text[:cut], text[cut:]
+            if len(tail) > _CHUNK:
+                return False  # a line longer than a chunk
+            ids = _parse_chunk(text, n)
+            if ids is None:
+                return False
+            i, j = ids[0::2], ids[1::2]
+            upper = np.minimum(i, j).astype(np.intp)
+            upper *= n
+            upper += np.maximum(i, j)
+            flat[upper] = 1.0
+            if not data:
+                return True
+
+
+def _parse_chunk(text: bytes, n: int) -> np.ndarray | None:
+    """The ids of whole lines as [i0, j0, i1, j1, ...], or None to defer to the scan.
+
+    ``text`` is a line break and then whole lines. Only digits, blanks and
+    line breaks are parsed here, so None may also mean a chunk the grammar
+    accepts (a comment, a "+1", an id longer than _MAX_DIGITS digits).
+    Tokens are runs of digits. The two ids of a line must be one blank apart
+    and consecutive lines one or two bytes apart, the last a line break; a
+    chunk with wider gaps is parsed once more after ``_LINE_BREAKS`` and
+    ``_BLANKS`` have shrunk every gap to one byte.
+    """
+    ids = _plain_chunk_ids(text, n)
+    if ids is None:
+        ids = _plain_chunk_ids(_BLANKS.sub(b" ", _LINE_BREAKS.sub(b"\n", text)), n)
+    return ids
+
+
+def _plain_chunk_ids(text: bytes, n: int) -> np.ndarray | None:
+    """``_parse_chunk`` without the gap rewrite."""
+    if text.translate(None, _DIGITS_BLANKS_BREAKS):
         return None
-    if pairs.size == 0 or pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= n:
+    # Room to read _MAX_DIGITS bytes from the start of the last id.
+    raw = np.frombuffer(text + b"\n" * _MAX_DIGITS, dtype=np.uint8)
+    digit = raw >= ord("0")  # only digits are, after the check above
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    bounds += 1
+    starts, ends = bounds[0::2], bounds[1::2]  # id t is text[starts[t]:ends[t]]
+    if starts.size % 2:
         return None
-    return pairs
+    next_starts = starts[2::2]
+    if not (
+        (starts[1::2] - ends[0::2] == 1).all()
+        and _IS_BLANK[raw[ends[0::2]]].all()
+        and (next_starts - ends[1:-1:2] <= 2).all()
+        and _IS_BREAK[raw[next_starts - 1]].all()
+    ):
+        return None
+    digits = ends - starts
+    longest = int(digits.max(initial=0))
+    if longest > _MAX_DIGITS:
+        return None
+    ids = raw[starts].astype(np.int32) - ord("0")
+    for k in range(1, longest):
+        ids = np.where(digits > k, 10 * ids + raw[k:][starts] - ord("0"), ids)
+    if ids.size and ids.max() >= n:
+        return None
+    return ids
+
+
+def _mirror_upper(A: np.ndarray) -> None:
+    """Copy the strict upper triangle of A, whose lower triangle is 0, onto the lower one.
+
+    Tile by tile, so no n x n temporary is made. The diagonal tiles add their
+    transpose, which doubles their diagonal; the caller sets the diagonal after.
+    """
+    n = A.shape[0]
+    for r in range(0, n, _TILE):
+        rows = slice(r, r + _TILE)
+        for c in range(r + _TILE, n, _TILE):
+            A[c : c + _TILE, rows] = A[rows, c : c + _TILE].T
+        A[rows, rows] += A[rows, rows].T
 
 
 def _scan_edge_list(path, n: int, A: np.ndarray) -> None:
@@ -172,6 +281,10 @@ def save_edge_list(adjacency, path) -> None:
 def save_adjacency_csv(adjacency, path) -> None:
     """Export the full 0/1 matrix as CSV (one row per node)."""
     A = validate_adjacency(adjacency)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in A.astype(np.int64):
-            fh.write(",".join(str(v) for v in row.tolist()) + "\n")
+    line = np.full(2 * A.shape[0], ord(","), dtype=np.uint8)
+    line[-1] = ord("\n")
+    with open(path, "wb") as fh:
+        for row in A:
+            line[0::2] = row  # 0 or 1, validated above
+            line[0::2] += ord("0")
+            fh.write(line.tobytes())

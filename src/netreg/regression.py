@@ -323,9 +323,9 @@ def fit_full_multi(adjacency, covariates, response, membership: Membership) -> M
     X = np.asarray(covariates, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != n:
         raise ValueError(f"covariates must be n x p with n = {n}, got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("covariates must be finite")
     p = X.shape[1]
+    for col in range(p):
+        vector(X[:, col], n, f"covariates column {col}")
     if p < 1:
         raise ValueError("need at least one covariate column")
     y = vector(response, n, "response")

@@ -398,6 +398,23 @@ def malformed_inputs():
     yield "non_square_adjacency", A[:, :-1], x, y, message
 
 
+_ADJACENCY_CASES = ("directed", "nan_adjacency")
+
+
+@pytest.mark.parametrize("user", ["laplacian", "netcoh_objective"])
+@pytest.mark.parametrize(
+    "case", [c for c in malformed_inputs() if c[0] in _ADJACENCY_CASES], ids=lambda c: c[0]
+)
+def test_laplacian_takes_the_adjacency_contract(case, user):
+    # A nan A used to give a nan Laplacian, and a directed one a non-symmetric one.
+    _, A, x, y, message = case
+    with pytest.raises(ValueError, match=message):
+        if user == "laplacian":
+            laplacian(A)
+        else:
+            netcoh_objective(A, x, y, np.zeros(x.size), 0.5, 1.0)
+
+
 @pytest.mark.parametrize("fitter", ["cv_select_lambda", "fit_netcoh"])
 @pytest.mark.parametrize("case", list(malformed_inputs()), ids=lambda c: c[0])
 def test_cohesion_fits_reject_malformed_input(case, fitter):

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netreg
 from netreg.cli import _read_column_csv, main
 
 
@@ -334,7 +339,8 @@ def test_netcoh_rejects_non_finite_column_value(workspace, token):
     workspace["y"].write_text("\n".join(values) + "\n")
     argv = ["netcoh", "--network", str(workspace["net"]), "--x", str(workspace["x"])]
     argv += ["--y", str(workspace["y"]), "--out", str(workspace["dir"] / "nc.json")]
-    with pytest.raises(ValueError, match=rf"y\.csv: line 6: non-finite value '{token}'"):
+    message = rf"^netreg netcoh: .*y\.csv: line 6: non-finite value '{token}'$"
+    with pytest.raises(SystemExit, match=message):
         main(argv)
     assert not (workspace["dir"] / "nc.json").exists()
 
@@ -364,7 +370,53 @@ def test_length_mismatch_names_both_files(workspace, command, short):
     argv += ["--y", str(workspace["y"]), "--out", str(workspace["dir"] / "out")]
     if command != "netcoh":
         argv += ["--membership", str(workspace["membership"])]
-    message = rf"^{re.escape(str(path))} has 59 rows but {re.escape(str(workspace['x']))} has 60$"
-    with pytest.raises(ValueError, match=message):
+    message = rf"^netreg {command}: {re.escape(str(path))} has 59 rows but {re.escape(str(workspace['x']))} has 60$"
+    with pytest.raises(SystemExit, match=message):
         main(argv)
     assert not (workspace["dir"] / "out").exists()
+
+
+_GOOD_INPUTS = {
+    "net.txt": "0 1\n1 2\n",
+    "x.csv": "x\n1.0\n2.0\n3.0\n",
+    "y.csv": "y\n1.0\n0.0\n1.0\n",
+    "mem.csv": "node_id,label\n0,0\n1,0\n2,1\n",
+}
+_DATA = ["--network", "net.txt", "--x", "x.csv", "--y", "y.csv"]
+# One malformed input per command, and the file its error line must name.
+_BAD_INPUTS = {
+    "simulate-sbm": (
+        None, ["--n", "3", "--block-probs", "missing.json", "--out", "o.txt"], "missing.json"
+    ),
+    "detect": (("bad_net.txt", "0 5\n"), ["--network", "bad_net.txt", "--n", "3", "--out", "o.csv"], "bad_net.txt"),
+    "fit": (
+        ("bad_mem.csv", "node_id,label\n0,0\n1,x\n2,1\n"),
+        [*_DATA, "--membership", "bad_mem.csv", "--out", "o.json"],
+        "bad_mem.csv",
+    ),
+    "infer": (
+        ("short_y.csv", "y\n1.0\n0.0\n"),
+        ["--network", "net.txt", "--x", "x.csv", "--y", "short_y.csv", "--membership", "mem.csv", "--out", "o.csv"],
+        "short_y.csv",
+    ),
+    "netcoh": (None, ["--network", "missing.txt", "--x", "x.csv", "--y", "y.csv", "--out", "o.json"], "missing.txt"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_BAD_INPUTS))
+def test_bad_input_exits_with_one_stderr_line(tmp_path, command):
+    # The library's ValueError or OSError used to reach the user as a traceback.
+    bad_file, args, named = _BAD_INPUTS[command]
+    for name, text in [*_GOOD_INPUTS.items(), *([bad_file] if bad_file else [])]:
+        (tmp_path / name).write_text(text)
+    env = dict(os.environ)
+    src = str(Path(netreg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "netreg.cli", command, *args]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"netreg {command}: ") and named in line
+    assert not list(tmp_path.glob("o.*"))

@@ -1,8 +1,14 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netreg
 from conftest import assortative_params, random_membership
 from netreg import (
     Membership,
@@ -208,6 +214,43 @@ def test_align_hungarian_path_matches_brute_force():
     Q = align_permutation(est, ref)
     agreement = int(np.sum(Q.argmax(axis=1)[est.labels] == ref.labels))
     assert agreement == _brute_force_agreement(est, ref)
+
+
+_IMPORT_CHILD = r"""
+import itertools, json, sys
+
+import numpy as np
+
+import netreg, netreg.cli
+from netreg.community import Membership, align_permutation
+
+report = {"loaded_by_import": "scipy.optimize" in sys.modules}
+rng = np.random.default_rng(11)
+K = 9
+est, ref = (Membership(labels=rng.permutation(np.arange(120) % K), n_communities=K) for _ in "ab")
+Q = align_permutation(est, ref)
+report["loaded_by_k9"] = "scipy.optimize" in sys.modules
+report["agreement"] = int(np.sum(Q.argmax(axis=1)[est.labels] == ref.labels))
+counts = np.zeros((K, K), dtype=np.int64)
+np.add.at(counts, (est.labels, ref.labels), 1)
+perms = np.array(list(itertools.permutations(range(K))))
+report["brute_force"] = int(counts[np.arange(K), perms].sum(axis=1).max())
+print(json.dumps(report))
+"""
+
+
+def test_scipy_optimize_loads_only_for_more_than_eight_communities():
+    # Importing it cost every process about 17 MB and 0.25 s.
+    env = dict(os.environ)
+    src = str(Path(netreg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", _IMPORT_CHILD]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert not report["loaded_by_import"]
+    assert report["loaded_by_k9"]
+    assert report["agreement"] == report["brute_force"]
 
 
 def test_misclustering_counts():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,10 +155,12 @@ def test_edge_list_errors(tmp_path):
 def test_edge_list_error_names_the_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.txt").write_text("0 5\n")
-    message = r"^bad\.txt: line 1: node index out of range \[0, 3\) in '0 5'$"
-    with pytest.raises(EdgeListFormatError, match=message) as excinfo:
-        main(["detect", "--network", "bad.txt", "--n", "3", "--out", "m.csv"])
+    message = r"bad\.txt: line 1: node index out of range \[0, 3\) in '0 5'$"
+    with pytest.raises(EdgeListFormatError, match="^" + message) as excinfo:
+        load_edge_list("bad.txt", 3)
     assert excinfo.value.line_number == 1
+    with pytest.raises(SystemExit, match="^netreg detect: " + message):
+        main(["detect", "--network", "bad.txt", "--n", "3", "--out", "m.csv"])
 
 
 def test_adjacency_csv_export(tmp_path):
@@ -350,3 +354,120 @@ def test_save_edge_list_matches_per_edge_writer(tmp_path, n, seed):
         save_edge_list(A, got)
         _save_edge_list_reference(A, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+# Chunked parse: chunk boundaries inside lines, the gap rewrite, the scan fallback.
+
+
+def _no_scan(*args):
+    raise AssertionError("line scan used")
+
+
+@pytest.mark.parametrize("n, chunk", [(40, 16), (40, 23), (300, 64), (300, 1 << 16)])
+def test_load_edge_list_chunk_boundary_inside_a_line(tmp_path, monkeypatch, n, chunk):
+    rng = np.random.default_rng(n + chunk)
+    A = sample_sbm(assortative_params(rng, n, 3), seed=chunk)
+    path = tmp_path / "net.txt"
+    save_edge_list(A, path)
+    monkeypatch.setattr(graph, "_CHUNK", chunk)
+    monkeypatch.setattr(graph, "_scan_edge_list", _no_scan)
+    assert np.array_equal(load_edge_list(path, n), A)
+
+
+def test_load_edge_list_rewrites_wide_gaps_without_the_scan(tmp_path, monkeypatch):
+    # CRLF, tabs, blank lines, indentation and trailing blanks; 16-byte chunks.
+    text = "0 1\r\n  2\t\t0  \r\n\r\n\n1   2\n\t3 0 \n \n0\t3"
+    path = tmp_path / "net.txt"
+    path.write_bytes(text.encode())
+    want = _load_edge_list_reference(path, 4)
+    monkeypatch.setattr(graph, "_CHUNK", 16)
+    monkeypatch.setattr(graph, "_scan_edge_list", _no_scan)
+    assert np.array_equal(load_edge_list(path, 4), want)
+
+
+def test_load_edge_list_comment_falls_back_to_the_scan(tmp_path, monkeypatch):
+    lines = [f"{i} {(i + 1) % 30}" for i in range(30)]
+    lines.insert(20, "# a comment past the first chunks")
+    path = tmp_path / "net.txt"
+    path.write_bytes("\r\n".join(lines).encode())
+    scans = []
+    scan = graph._scan_edge_list
+    monkeypatch.setattr(graph, "_CHUNK", 32)
+    monkeypatch.setattr(graph, "_scan_edge_list", lambda *args: scans.append(scan(*args)))
+    assert np.array_equal(load_edge_list(path, 30), _load_edge_list_reference(path, 30))
+    assert len(scans) == 1
+
+
+def test_load_edge_list_bad_line_past_the_first_chunk(tmp_path):
+    rng = np.random.default_rng(61)
+    lines = [f"{i} {j}" for i, j in rng.integers(0, 300, size=(20000, 2)).tolist()]
+    lines[14999] = "12 x"
+    path = tmp_path / "net.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert path.stat().st_size > 2 * graph._CHUNK
+    with pytest.raises(EdgeListFormatError) as excinfo:
+        load_edge_list(path, 300)
+    assert excinfo.value.line_number == 15000
+    assert str(excinfo.value) == f"{path}: line 15000: non-integer node index in '12 x'"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_edge_file(), chunk=st.sampled_from([4, 7, 16, 64]))
+def test_chunked_load_edge_list_matches_line_scan_oracle(tmp_path_factory, text, chunk):
+    path = tmp_path_factory.mktemp("oracle") / "net.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_CHUNK", chunk)
+        got = _outcome(load_edge_list, path, _ORACLE_N)
+    want = _outcome(_load_edge_list_reference, path, _ORACLE_N)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+# Memory: at n = 2000 (A = 30.5 MiB) each function holds A, if it returns or
+# takes one, plus a bounded chunk. Peaks are tracemalloc's, above entry.
+
+_MIB = 2**20
+
+
+def _peak_above_entry(call) -> int:
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def sbm_2000():
+    n, K = 2000, 4
+    labels = np.arange(n) % K
+    B = np.full((K, K), 0.1) + 0.4 * np.eye(K)
+    params = SbmParams(membership=Membership(labels=labels, n_communities=K), block_probs=B)
+    return params, sample_sbm(params, seed=7)
+
+
+def test_graph_memory_is_a_plus_a_bounded_chunk(tmp_path, sbm_2000):
+    params, A = sbm_2000
+    a_bytes = A.nbytes
+    path = tmp_path / "net.txt"
+    assert _peak_above_entry(lambda: sample_sbm(params, seed=7)) <= a_bytes + 1 * _MIB
+    assert _peak_above_entry(lambda: validate_adjacency(A)) <= 1 * _MIB
+    assert _peak_above_entry(lambda: save_edge_list(A, path)) <= 1 * _MIB
+    assert _peak_above_entry(lambda: load_edge_list(path, A.shape[0])) <= a_bytes + 2 * _MIB
+    csv = tmp_path / "a.csv"
+    assert _peak_above_entry(lambda: save_adjacency_csv(A, csv)) <= 1 * _MIB
+
+
+def test_save_adjacency_csv_matches_per_row_writer(tmp_path):
+    rng = np.random.default_rng(62)
+    A = sample_sbm(assortative_params(rng, 150, 3), seed=63)
+    path = tmp_path / "a.csv"
+    save_adjacency_csv(A, path)
+    want = "".join(",".join(str(v) for v in row.tolist()) + "\n" for row in A.astype(np.int64))
+    assert path.read_bytes() == want.encode()

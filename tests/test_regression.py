@@ -247,6 +247,14 @@ def test_multi_covariate_noiseless_recovery():
     assert np.abs(multi.beta - tensor).max() < 1e-8
 
 
+def test_multi_covariate_non_finite_names_column_and_node():
+    A, x, m = small_instance(28, n=30, n_communities=2)
+    X = np.column_stack([x, x])
+    X[2, 1] = np.nan
+    with pytest.raises(ValueError, match="^covariates column 1 must be finite; node 2 is not$"):
+        fit_full_multi(A, X, x, m)
+
+
 def test_multi_covariate_zero_design():
     A, _, m = small_instance(25, n=30, n_communities=2)
     y = np.random.default_rng(26).standard_normal(30)
