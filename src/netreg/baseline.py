@@ -77,18 +77,11 @@ def fit_netcoh(adjacency, covariate, response, lam: float) -> NetcohFit:
 
 def _refit(A_f, deg, x, y, lam: float) -> NetcohFit:
     """fit_netcoh on checked arrays; ``deg`` is A's row sums."""
-    lambdas, rhs = np.array([lam]), np.stack((x, y))
-    deg, no_rows = np.tile(deg, (2, 1)), np.zeros((2, 0), dtype=np.intp)
-    V, _, a_diag, b_off, norm, steps = _lanczos(A_f, rhs, np.ones_like(rhs), deg, no_rows, lambdas)
-    (C_x, D_x), (C_y, D_y) = (
-        _shifted_coefficients(a_diag[r], b_off[r], norm[r], steps[r], lambdas) for r in (0, 1)
+    rhs = np.stack((x, y))
+    runs = _lanczos(
+        A_f, rhs, np.ones_like(rhs), np.tile(deg, (2, 1)), np.zeros((2, 0), np.intp), np.array([lam])
     )
-    V_x, V_y = V[0, : steps[0]], V[1, : steps[1]]
-    xV_x, xV_y = np.einsum("kn,n->k", V_x, x), np.einsum("kn,n->k", V_y, x)
-    beta, identified = _slope(xV_x, D_x, xV_y, D_y, norm[0])
-    alpha = np.einsum("kn,k->n", V_y, C_y[:, 0]) - beta[0] * np.einsum("kn,k->n", V_x, C_x[:, 0])
-    notes = {"slope_identified": bool(identified[0])}
-    return NetcohFit(alpha=alpha, beta=float(beta[0]), lam=lam, notes=notes)
+    return _whole_graph_fit(runs, x, lam)
 
 
 def predict_netcoh(fit: NetcohFit, covariate) -> np.ndarray:
@@ -110,7 +103,10 @@ def default_lambda_grid() -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), DEFAULT_GRID_SIZE)
 
 
-# Every BLAS and LAPACK call of the cohesion fits is scipy's; see README, "One OpenBLAS pool".
+# Every product with A and every LAPACK call of the cohesion fits is scipy's.
+# The Lanczos sweep's dot products of length n are numpy's vecdot, a BLAS ddot
+# that OpenBLAS runs on the calling thread up to n = 10 000; see README, "One
+# OpenBLAS pool".
 
 
 def _lapack(routine: str, *args, **kwargs) -> list:
@@ -143,7 +139,8 @@ def _lanczos(A_f, rhs, mask, deg, held, lambdas):
     deg[r] v - mask[r] (A v) is the training subgraph's Laplacian, where deg[r]
     = A mask[r]; one dgemm of A_f (A in Fortran order) with the block of
     current basis vectors advances every run. The held-out rows ``held[r]`` of
-    each product A v are kept for the harmonic extension.
+    each product -A v are kept for the harmonic extension, gathered by one
+    flat take.
 
     For each lambda the LDL^T pivots of I + lam T_m, d_1 = 1 + lam a_1 and
     d_k = 1 + lam a_k - (lam b_{k-1})^2 / d_{k-1}, and the relative Galerkin
@@ -153,97 +150,144 @@ def _lanczos(A_f, rhs, mask, deg, held, lambdas):
     invariant, so the answer is exact) or when the basis spans the training
     set. A pivot <= 0 means I + lam L_r is not positive definite.
 
-    Returns the bases (runs x steps x n), the kept rows of A V (runs x steps x
-    held), the tridiagonals' diagonals a and off-diagonals b, the norms of the
-    right-hand sides and every run's step count.
+    Returns the bases (steps x runs x n), the kept rows of -A V (steps x runs x
+    held), the tridiagonals' diagonals a and off-diagonals b (runs x steps),
+    the norms of the right-hand sides and every run's step count. Past its
+    last step, a run's basis vectors are zero.
     """
     runs, n = rhs.shape
     cap = _LANCZOS_CHUNK
-    V = np.empty((runs, cap, n))
-    AV_held = np.empty((runs, cap, held.shape[1]))
+    V = np.empty((cap, runs, n))
+    AV_held = np.empty((cap, *held.shape))
     a_diag = np.empty((runs, cap))
     b_off = np.empty((runs, cap))
     steps = np.zeros(runs, dtype=np.intp)
     size = np.count_nonzero(mask, axis=1)
     norm = np.sqrt(np.einsum("rn,rn->r", rhs, rhs))
+    flat_held = held + n * np.arange(runs)[:, None]
     # A zero right-hand side starts from v = 0: a = b = 0, and the run ends
     # after one step with the exact solution s = 0. A run that has ended
     # continues with v = 0, so the block keeps its shape.
-    v = rhs / np.where(norm > 0.0, norm, 1.0)[:, None]
-    v_prev = np.zeros_like(v)
-    b_prev = np.zeros(runs)
+    np.divide(rhs, np.where(norm > 0.0, norm, 1.0)[:, None], out=V[0])
+    # The next basis vector w, the pivots and the gains are formed in place;
+    # three_term holds b_{k-1} and a_k, and part holds what w loses.
+    w, part = np.empty((runs, n)), np.empty((runs, n))
+    three_term = np.zeros((2, runs))
+    b_prev, a = three_term
     pivot = np.ones((runs, lambdas.size))
     gain = np.ones((runs, lambdas.size))
+    coupling = np.empty_like(pivot)
+    shrink = np.empty_like(pivot)
     for k in range(n):
-        if k == cap:
-            cap += _LANCZOS_CHUNK
-            V, AV_held, a_diag, b_off = (
-                np.concatenate((arr, np.empty((runs, _LANCZOS_CHUNK, *arr.shape[2:]))), axis=1)
-                for arr in (V, AV_held, a_diag, b_off)
-            )
-        V[:, k] = v
-        Av = blas.dgemm(1.0, A_f, v.T).T
-        AV_held[:, k] = np.take_along_axis(Av, held, axis=1)
-        w = deg * v - mask * Av
-        a = np.einsum("rn,rn->r", v, w)
-        lv_norm = np.sqrt(np.einsum("rn,rn->r", w, w))
-        w -= a[:, None] * v + b_prev[:, None] * v_prev
-        # Full reorthogonalisation against the run's own basis, twice.
+        v = V[k]
+        # w = deg v - A v, by one dgemm into w^T (Fortran order). v is zero
+        # off the training set, so there w is -A v: the kept rows.
+        np.multiply(deg, v, out=w)
+        blas.dgemm(-1.0, A_f, v.T, 1.0, w.T, overwrite_c=1)
+        w.take(flat_held, out=AV_held[k], mode="clip")  # the ids are in range
+        w *= mask
+        np.vecdot(v, w, out=a)
+        if k:
+            w -= np.einsum("krn,kr->rn", V[k - 1 : k + 1], three_term, out=part)
+        else:
+            w -= np.multiply(a[:, None], v, out=part)
+        # Full reorthogonalisation against the run's own basis: once, and
+        # again where the part it removed outweighs the part it left, that is
+        # where it cancelled more than a factor sqrt(2) of w's norm (the test
+        # of Daniel, Gragg, Kaufman and Stewart, 1976, as in ARPACK).
         for _ in range(2):
-            w -= np.einsum("rkn,rk->rn", V[:, : k + 1], np.einsum("rkn,rn->rk", V[:, : k + 1], w))
-        b = np.sqrt(np.einsum("rn,rn->r", w, w))
+            c = np.vecdot(V[: k + 1], w)
+            w -= np.einsum("krn,kr->rn", V[: k + 1], c, out=part)
+            b = np.sqrt(np.vecdot(w, w))
+            if not (np.einsum("kr,kr->r", c, c) > b * b).any():
+                break
         a_diag[:, k], b_off[:, k] = a, b
 
-        coupling = lambdas * b_prev[:, None]
-        pivot = 1.0 + lambdas * a[:, None] - coupling * coupling / pivot
-        if not (pivot > 0.0).all():
+        np.multiply(lambdas, b_prev[:, None], out=coupling)
+        np.multiply(coupling, coupling, out=shrink)
+        shrink /= pivot
+        np.multiply(lambdas, a[:, None], out=pivot)
+        pivot += 1.0
+        pivot -= shrink
+        if not pivot.min() > 0.0:
             r, j = np.unravel_index(np.argmin(pivot), pivot.shape)
             raise np.linalg.LinAlgError(
                 f"I + lam L is not positive definite at lam = {lambdas[j]:.6g} "
                 f"(Lanczos pivot {pivot[r, j]:.6g}); are some edge weights negative?"
             )
-        gain = gain * (coupling if k else 1.0) / pivot
-        done = (
-            (lambdas * b[:, None] * gain <= _LANCZOS_RTOL).all(axis=1)
-            | (b <= 1e-13 * lv_norm)
-            | (k + 1 >= size)
-        )
-        steps[(steps == 0) & done] = k + 1
+        if k:
+            gain *= coupling
+        gain /= pivot
+        np.multiply(lambdas, b[:, None], out=shrink)
+        shrink *= gain
+        # |L_r v| = |(b_prev, a, b)|, as v_prev, v and the next vector are orthonormal.
+        invariant = b <= 1e-13 * np.hypot(np.hypot(b_prev, a), b)
+        active = steps == 0
+        steps[active & ((shrink.max(axis=1) <= _LANCZOS_RTOL) | invariant | (k + 1 >= size))] = k + 1
         if steps.all():
             break
-        b_prev = np.where(steps == 0, b, 0.0)
-        v_prev, v = v, w / np.where(steps == 0, b, np.inf)[:, None]
+        active = steps == 0
+        np.multiply(b, active, out=b_prev)
+        if k + 1 == cap:
+            cap += _LANCZOS_CHUNK
+            V, AV_held = (
+                np.concatenate((arr, np.empty((_LANCZOS_CHUNK, *arr.shape[1:])))) for arr in (V, AV_held)
+            )
+            a_diag, b_off = (
+                np.concatenate((arr, np.empty((runs, _LANCZOS_CHUNK))), axis=1) for arr in (a_diag, b_off)
+            )
+        np.divide(w, np.where(active, b, np.inf)[:, None], out=V[k + 1])
     return V, AV_held, a_diag, b_off, norm, steps
 
 
 def _shifted_coefficients(a, b, norm, steps, lambdas):
-    """Coefficients of a run's solution s(lam) = V C(lam) and of rhs - s(lam) = V D(lam).
+    """A run's solutions in the eigenbasis of its tridiagonal T = tridiag(b, a, b) = W diag(theta) W^T.
 
-    With T = tridiag(b, a, b) = W diag(theta) W^T, the columns are
-    C(lam) = W diag(1 / (1 + lam theta)) W^T e_1 norm and
-    D(lam) = W diag(lam theta / (1 + lam theta)) W^T e_1 norm, one per lambda.
-    D is formed directly, without the cancellation in norm e_1 - C, because
-    the slope's denominator x^T (x_t - s_x) can be a tiny part of x^T x.
+    With q = W^T e_1 norm, s(lam) = V W coef(lam) and rhs - s(lam) =
+    V W kept(lam), where coef = q / (1 + lam theta) and kept = coef lam theta,
+    one column per lambda. kept is formed directly, without the cancellation
+    in q - coef, because the slope's denominator x^T (x_t - s_x) can be a tiny
+    part of x^T x. Returns W, coef and kept.
     """
     theta, W = _lapack("dstev", a[:steps], b[: max(steps - 1, 1)])
     shift = np.outer(theta, lambdas)
     coef = (W[0] * norm)[:, None] / (1.0 + shift)
-    return blas.dgemm(1.0, W, coef), blas.dgemm(1.0, W, coef * shift)
+    return W, coef, coef * shift
 
 
-def _slope(xV_x, D_x, xV_y, D_y, x_norm):
-    """beta = x^T (rhs_y - s_y) / x^T (rhs_x - s_x) = (x^T V_y) D_y / (x^T V_x) D_x per lambda.
+def _slope(xU_x, kept_x, xU_y, kept_y, x_norm):
+    """beta = x^T (rhs_y - s_y) / x^T (rhs_x - s_x) = (x^T V_y W_y) kept_y / (x^T V_x W_x) kept_x.
 
-    Where the denominator is not above 1e-12 max(|rhs_x|^2, 1), x is constant
-    on every connected component (up to rounding) and beta = 0. Returns beta
-    and where it is identified.
+    xU_x and xU_y are x^T V W of the two runs. Where the denominator is not
+    above 1e-12 max(|rhs_x|^2, 1), x is constant on every connected component
+    (up to rounding) and beta = 0. Returns beta and where it is identified.
     """
-    denom = np.einsum("k,kq->q", xV_x, D_x)
-    num = np.einsum("k,kq->q", xV_y, D_y)
+    denom = np.einsum("k,kq->q", xU_x, kept_x)
+    num = np.einsum("k,kq->q", xU_y, kept_y)
     beta = np.zeros(denom.size)
     identified = denom > 1e-12 * max(x_norm**2, 1.0)
     beta[identified] = num[identified] / denom[identified]
     return beta, identified
+
+
+def _whole_graph_fit(runs, x, lam: float) -> NetcohFit:
+    """The fit at lam from a _lanczos result whose runs 0 and 1 are x and y on the whole graph."""
+    V, _, a_diag, b_off, norm, steps = runs
+    lambdas = np.array([lam])
+    (W_x, coef_x, kept_x), (W_y, coef_y, kept_y) = (
+        _shifted_coefficients(a_diag[r], b_off[r], norm[r], steps[r], lambdas) for r in (0, 1)
+    )
+    V_x, V_y = V[: steps[0], 0], V[: steps[1], 1]
+    xU_x, xU_y = (
+        np.einsum("k,kj->j", np.einsum("kn,n->k", V_r, x), W) for V_r, W in ((V_x, W_x), (V_y, W_y))
+    )
+    beta, identified = _slope(xU_x, kept_x, xU_y, kept_y, norm[0])
+    s_x, s_y = (
+        np.einsum("kn,k->n", V_r, np.einsum("kj,j->k", W, coef[:, 0]))
+        for V_r, W, coef in ((V_x, W_x, coef_x), (V_y, W_y, coef_y))
+    )
+    notes = {"slope_identified": bool(identified[0])}
+    return NetcohFit(alpha=s_y - beta[0] * s_x, beta=float(beta[0]), lam=lam, notes=notes)
 
 
 def _grounded(A: np.ndarray, held: np.ndarray, boundary: np.ndarray) -> np.ndarray:
@@ -259,70 +303,90 @@ def _grounded(A: np.ndarray, held: np.ndarray, boundary: np.ndarray) -> np.ndarr
     return np.bincount(comp, weights=touches)[comp] > 0
 
 
-def _pass_sq_err(A, A_f, deg, x, y, folds, lambdas):
+def _cv_pass(A_f, x, y, folds, lambdas, deg=None):
     """Held-out squared error of every lambda summed over some folds, and their ungrounded count.
 
     Each fold's training fit solves (I + lam L_tt) [s_x, s_y] = [x_t, y_t]
     for every lambda; both solutions of every fold come from one Lanczos pass
-    (see _lanczos), as s(lam) = V C(lam), with x_t - s_x = V_x D_x and
-    y_t - s_y = V_y D_y. Then beta comes from _slope,
-    alpha_t = s_y - beta s_x, and the training mean comes from (1^T V) C.
-    The harmonic extension L_gg alpha_g = A_gt alpha_t of the grounded
-    held-out nodes g is, since A_gt s = (A V)[g] C, one SPD solve for the
-    kept rows of A V.
+    (see _lanczos), as s(lam) = V W coef(lam) with x_t - s_x = V_x W_x kept_x
+    and y_t - s_y = V_y W_y kept_y (see _shifted_coefficients). Then beta
+    comes from _slope, alpha_t = s_y - beta s_x, and the training mean comes
+    from 1^T s. The harmonic extension L_gg alpha_g = A_gt alpha_t of the
+    grounded held-out nodes g is, since A_gt s = (A V)[g] W coef, one SPD
+    solve whose right-hand sides are the kept rows of -A V (see _lanczos),
+    one per basis vector of the fold's two runs.
+
+    Without ``deg`` (the first pass), one dgemm of A with [1, train] gives deg
+    = A 1 beside the training degrees, and the pass carries two more runs: x
+    and y on the whole graph, the refit's. Returns the squared errors, the
+    ungrounded count, deg, and those two runs in _lanczos's layout (None when
+    deg was given).
     """
+    A = A_f.T  # A is symmetric, so this is A in C order, without a copy
     n, nf = x.size, len(folds)
-    train = np.ones((n, nf), order="F")
+    whole = int(deg is None)
+    train = np.ones((n, whole + nf), order="F")
     for f, held in enumerate(folds):
-        train[held, f] = 0.0
+        train[held, whole + f] = 0.0
     # Training degrees; on a held-out node, its edge weight into the training set.
     deg_t = blas.dgemm(1.0, A_f, train)
-    mask = np.tile(train.T, (2, 1))
-    held_rows = np.zeros((2 * nf, max(h.size for h in folds)), dtype=np.intp)
+    if whole:
+        deg = deg_t[:, 0]
+    # Runs: x_t of every fold, y_t of every fold, then x and y on the whole graph.
+    fold_cols = np.arange(whole, whole + nf)
+    cols = np.concatenate((fold_cols, fold_cols, np.zeros(2 * whole, dtype=np.intp)))
+    which = np.repeat([0, 1, 0, 1], [nf, nf, whole, whole])
+    mask = train.T[cols]
+    rhs = mask * np.stack((x, y))[which]
+    held_rows = np.zeros((cols.size, max(h.size for h in folds)), dtype=np.intp)
     for f, held in enumerate(folds):
         held_rows[f, : held.size] = held_rows[nf + f, : held.size] = held
-    rhs = mask * np.repeat(np.stack((x, y)), nf, axis=0)
-    V, AV_held, a_diag, b_off, norm, steps = _lanczos(
-        A_f, rhs, mask, np.tile(deg_t.T, (2, 1)), held_rows, lambdas
-    )
-    x_one = np.stack((x, np.ones(n)))
+    runs = _lanczos(A_f, rhs, mask, deg_t.T[cols], held_rows, lambdas)
+    V, AV_held, a_diag, b_off, norm, steps = runs
+    top = steps.max()
+    # x^T V of every run (zero past a run's last step).
+    xV = np.vecdot(V[:top], x).T
     sq_err = np.zeros(lambdas.size)
     ungrounded = 0
     for f, held in enumerate(folds):
-        runs = (f, nf + f)
-        (C_x, D_x), (C_y, D_y) = (
-            _shifted_coefficients(a_diag[r], b_off[r], norm[r], steps[r], lambdas) for r in runs
+        (W_x, coef_x, kept_x), (W_y, coef_y, kept_y) = (
+            _shifted_coefficients(a_diag[r], b_off[r], norm[r], steps[r], lambdas) for r in (f, nf + f)
         )
-        # x^T V and 1^T V of both runs.
-        (xV_x, oneV_x), (xV_y, oneV_y) = (
-            np.einsum("kn,pn->pk", V[r, : steps[r]], x_one) for r in runs
-        )
-        beta = _slope(xV_x, D_x, xV_y, D_y, norm[f])[0]
-
-        # Ungrounded held-out nodes take the training mean of alpha_t.
-        alpha_h = np.empty((held.size, lambdas.size))
-        alpha_h[:] = (
-            np.einsum("k,kq->q", oneV_y, C_y) - beta * np.einsum("k,kq->q", oneV_x, C_x)
-        ) / (n - held.size)
-        grounded = _grounded(A, held, deg_t[held, f])
+        m_x, m_y = steps[f], steps[nf + f]
+        beta = _slope(
+            np.einsum("k,kj->j", xV[f, :m_x], W_x), kept_x,
+            np.einsum("k,kj->j", xV[nf + f, :m_y], W_y), kept_y, norm[f],
+        )[0]
+        # alpha_t = V_y C_y - V_x C_x beta, with C = W coef.
+        C = np.concatenate((blas.dgemm(-1.0, W_x, coef_x * beta), blas.dgemm(1.0, W_y, coef_y)))
+        h = held.size
+        # The held-out residual y_h - beta x_h - alpha_h, from alpha_h = 0.
+        resid = np.outer(x[held], -beta)
+        resid += y[held][:, None]
+        grounded = _grounded(A, held, deg_t[held, whole + f])
+        if not grounded.all():
+            # Ungrounded held-out nodes take the training mean of alpha_t.
+            one = np.concatenate((V[:m_x, f].sum(axis=1), V[:m_y, nf + f].sum(axis=1)))
+            resid[~grounded] -= np.einsum("k,kq->q", one, C) / (n - h)
+            ungrounded += h - int(np.count_nonzero(grounded))
         if grounded.any():
             hg = held[grounded]
-            L_gg = -A[np.ix_(hg, hg)]
-            L_gg[np.diag_indices_from(L_gg)] += deg[hg]
-            rows = np.concatenate([AV_held[r, : steps[r], : held.size][:, grounded] for r in runs])
+            L_gg = A.take(np.add.outer(hg * n, hg))
+            np.negative(L_gg, out=L_gg)
+            L_gg.flat[:: hg.size + 1] += deg[hg]
+            rows = np.concatenate((AV_held[:m_x, f, :h], AV_held[:m_y, nf + f, :h]))[:, grounded]
             # L_gg is symmetric, so L_gg.T, like rows.T, is in Fortran order
             # and dposv reads both without a copy. Each grounded component's
             # block is an irreducibly diagonally dominant M-matrix, hence
             # positive definite.
-            Z = _lapack("dposv", L_gg.T, rows.T, overwrite_a=1)[1]
-            m_x = steps[f]
-            alpha_h[grounded] = blas.dgemm(1.0, Z[:, m_x:], C_y) - beta * blas.dgemm(
-                1.0, Z[:, :m_x], C_x
-            )
-        resid = y[held][:, None] - (alpha_h + np.outer(x[held], beta))
+            Z = _lapack("dposv", L_gg.T, rows.T, overwrite_a=1, overwrite_b=1)[1]
+            # alpha_g = -Z C, as the kept rows are those of -A V.
+            resid[grounded] += blas.dgemm(1.0, Z, C)
         sq_err += np.einsum("gq,gq->q", resid, resid)
-        ungrounded += held.size - int(np.count_nonzero(grounded))
-    return sq_err, ungrounded
+    if not whole:
+        return sq_err, ungrounded, deg, None
+    refit = V[:top, -2:].copy(), None, a_diag[-2:], b_off[-2:], norm[-2:], steps[-2:]
+    return sq_err, ungrounded, deg, refit
 
 
 def cv_select_lambda(
@@ -342,36 +406,35 @@ def cv_select_lambda(
     to the smallest lambda). Krylov spaces are invariant under shifts, so one
     Lanczos run per right-hand side (x_t and y_t of each fold) serves every
     lambda; all runs advance together by one product of A with a block of
-    vectors per step, and the training Laplacians are never formed. A pass
-    holds up to max(5, n // 32) folds, so the bases stay near twice the size
-    of A. Held-out nodes in components with no edge into the training set
-    take the training mean; ``notes["ungrounded_held_out"]`` counts them over
-    folds. Raises LinAlgError when some I + lam L_tt is not positive definite
+    vectors per step, and the training Laplacians are never formed. The first
+    pass also carries the refit's two runs, x and y on the whole graph, so
+    the fit at the chosen lambda reads A no more. A pass holds up to
+    max(5, n // 32) folds, so the bases stay near twice the size of A.
+    Held-out nodes in components with no edge into the training set take the
+    training mean; ``notes["ungrounded_held_out"]`` counts them over folds.
+    Raises LinAlgError when some I + lam L_tt is not positive definite
     (negative edge weights).
     """
-    A, A_f, x, y = _checked(adjacency, covariate, response)
+    _, A_f, x, y = _checked(adjacency, covariate, response)
     n = x.size
     if not 2 <= n_folds <= n:
         raise ValueError(f"n_folds must be in [2, {n}], got {n_folds}")
     lambdas = default_lambda_grid() if grid is None else np.asarray(grid, dtype=np.float64)
     if np.any(lambdas <= 0.0):
         raise ValueError("all grid values must be positive")
-    deg = A.sum(axis=1)
     rng = np.random.default_rng(seed)
     folds = [np.sort(fold) for fold in np.array_split(rng.permutation(n), n_folds)]
     per_pass = max(5, n // _LANCZOS_CHUNK)
-    total_sq_err = np.zeros(lambdas.size)
-    ungrounded = 0
-    for start in range(0, n_folds, per_pass):
-        # The pass's bases are freed on return, before the refit below.
-        sq_err, pass_ungrounded = _pass_sq_err(
-            A, A_f, deg, x, y, folds[start : start + per_pass], lambdas
+    total_sq_err, ungrounded, deg, refit = _cv_pass(A_f, x, y, folds[:per_pass], lambdas)
+    for start in range(per_pass, n_folds, per_pass):
+        sq_err, pass_ungrounded, _, _ = _cv_pass(
+            A_f, x, y, folds[start : start + per_pass], lambdas, deg
         )
         total_sq_err += sq_err
         ungrounded += pass_ungrounded
     cv_errors = total_sq_err / n
     best = int(np.argmin(cv_errors))
-    fit = _refit(A_f, deg, x, y, float(lambdas[best]))
+    fit = _whole_graph_fit(refit, x, float(lambdas[best]))
     fit.cv_curve = list(zip(lambdas.tolist(), cv_errors.tolist()))
     fit.notes.update(
         n_folds=n_folds,

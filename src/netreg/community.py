@@ -155,7 +155,11 @@ def _leading_eigenpairs(A: np.ndarray, A_f: np.ndarray, k: int) -> tuple[np.ndar
         op = LinearOperator(A.shape, matvec=lambda v: blas.dsymv(1.0, A_f, v), dtype=np.float64)
         # Fixed start vector keeps Lanczos deterministic.
         v0 = np.full(n, 1.0 / np.sqrt(n))
-        vals, vecs = eigsh(op, k=k, which="LM", v0=v0)
+        # ARPACK's Lanczos basis: scipy's default of 20 up to k = 5, then
+        # 3k + 4. A wider basis restarts less: the k = 20 scree of a 2000-node
+        # network took 380-404 products with A instead of 397-506 (README, Notes).
+        ncv = min(n, max(20, 3 * k + 4))
+        vals, vecs = eigsh(op, k=k, which="LM", v0=v0, ncv=ncv)
     order = np.lexsort((-vals, -np.abs(vals)))[:k]
     vals = vals[order]
     vecs = vecs[:, order]

@@ -122,10 +122,11 @@ def load_edge_list(path, n: int) -> np.ndarray:
 
     The file is parsed and scattered into A in chunks of whole lines (about
     ``_CHUNK`` bytes), so besides A only one chunk's arrays are held. A file
-    the vectorised chunk parse cannot take (a comment, a non-integer token, a
-    wrong token count, an index out of range) is read again by the line scan
-    ``_scan_edge_list``, which is the reference for the grammar and the only
-    source of ``EdgeListFormatError`` and its line number.
+    the vectorised chunk parse cannot take (a '#' past a line's first
+    non-blank byte, a non-integer token, a wrong token count, an index out of
+    range) is read again by the line scan ``_scan_edge_list``, which is the
+    reference for the grammar and the only source of ``EdgeListFormatError``
+    and its line number.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -147,7 +148,9 @@ _IS_BLANK = np.zeros(256, dtype=bool)
 _IS_BLANK[[ord(" "), ord("\t")]] = True
 _IS_BREAK = np.zeros(256, dtype=bool)
 _IS_BREAK[[ord("\n"), ord("\r")]] = True
-# Line breaks with the blanks around them, and runs of blanks; see _parse_chunk.
+# Whole-line comments, line breaks with the blanks around them, and runs of
+# blanks; see _parse_chunk.
+_COMMENTS = re.compile(rb"(?<=[\r\n])[ \t]*#[^\r\n]*")
 _LINE_BREAKS = re.compile(rb"[ \t]*[\r\n][\r\n \t]*")
 _BLANKS = re.compile(rb"[ \t]+")
 
@@ -181,15 +184,16 @@ def _parse_chunk(text: bytes, n: int) -> np.ndarray | None:
 
     ``text`` is a line break and then whole lines. Only digits, blanks and
     line breaks are parsed here, so None may also mean a chunk the grammar
-    accepts (a comment, a "+1", an id longer than _MAX_DIGITS digits).
-    Tokens are runs of digits. The two ids of a line must be one blank apart
-    and consecutive lines one or two bytes apart, the last a line break; a
-    chunk with wider gaps is parsed once more after ``_LINE_BREAKS`` and
-    ``_BLANKS`` have shrunk every gap to one byte.
+    accepts (a "+1", an id longer than _MAX_DIGITS digits). Tokens are runs
+    of digits. The two ids of a line must be one blank apart and consecutive
+    lines one or two bytes apart, the last a line break; any other chunk is
+    parsed once more after ``_COMMENTS`` has emptied every whole-line comment
+    and ``_LINE_BREAKS`` and ``_BLANKS`` have shrunk every gap to one byte.
     """
     ids = _plain_chunk_ids(text, n)
     if ids is None:
-        ids = _plain_chunk_ids(_BLANKS.sub(b" ", _LINE_BREAKS.sub(b"\n", text)), n)
+        text = _LINE_BREAKS.sub(b"\n", _COMMENTS.sub(b"", text))
+        ids = _plain_chunk_ids(_BLANKS.sub(b" ", text), n)
     return ids
 
 

@@ -134,6 +134,14 @@ def significance_stars(p: float) -> str:
     return ""
 
 
+# What each TestCell.flag means; a flagged cell's p-value is not a test result.
+_FLAG_MEANINGS = {
+    "singular": "the target community's Hessian is singular: no standard error",
+    "degenerate": "estimate and standard error are both 0",
+    "zero_se": "the standard error is 0: z is infinite",
+}
+
+
 @dataclass(frozen=True)
 class TestCell:
     target: int
@@ -162,14 +170,15 @@ class TestTable:
     def to_csv(self, path) -> None:
         write_csv(
             path,
-            ["k1", "k2", "estimate", "se", "z", "p", "stars", "variant"],
+            ["k1", "k2", "estimate", "se", "z", "p", "stars", "variant", "flag"],
             [
-                (c.target, c.source, c.estimate, c.se, c.z, c.p, c.stars, self.variant)
+                (c.target, c.source, c.estimate, c.se, c.z, c.p, c.stars, self.variant, c.flag)
                 for c in self.cells
             ],
         )
 
     def to_text(self) -> str:
+        """Estimate ± se over the p-value, per cell; a flagged cell shows its flag for p."""
         K = max(c.target for c in self.cells) + 1
         width = 18
         header = "target".ljust(8) + "".join(
@@ -183,9 +192,11 @@ class TestTable:
                 c = self.cell(k1, k2)
                 est_line += f"{c.estimate:.3f} ± {c.se:.3f}".rjust(width)
                 tag = f"({c.stars}) " if c.stars else ""
-                p_line += f"{tag}{c.p:.4f}".rjust(width)
+                p_line += (f"[{c.flag}]" if c.flag else f"{tag}{c.p:.4f}").rjust(width)
             lines.append(est_line)
             lines.append(p_line)
+        flags = {c.flag for c in self.cells} - {""}
+        lines += [f"[{flag}] {_FLAG_MEANINGS[flag]}" for flag in sorted(flags)]
         return "\n".join(lines)
 
 

@@ -16,6 +16,7 @@ from netreg import (
     predict_netcoh,
     sample_sbm,
 )
+from netreg import baseline
 from netreg.baseline import DEFAULT_GRID_SIZE, default_lambda_grid
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -364,11 +365,46 @@ def test_cv_matches_eigh_reference_on_random_graphs(n, density, weighted, self_l
     lowest, second = np.sort(ref_errors)[:2]
     if second - lowest > 1e-9 * lowest:
         assert fit.lam == ref_lam
+    # The refit rides in the CV's first pass; it is fit_netcoh at the chosen lambda.
+    ref = fit_netcoh(A, x, y, fit.lam)
+    assert fit.notes["slope_identified"] == ref.notes["slope_identified"]
+    np.testing.assert_allclose(fit.alpha, ref.alpha, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(fit.beta, ref.beta, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, n_folds, passes", [(300, 5, 1), (400, 400, 34)])
+def test_cv_reads_a_in_one_lanczos_sweep_per_pass(monkeypatch, n, n_folds, passes):
+    # The refit's two whole-graph runs (x and y) ride in the first pass, so a
+    # CV starts one _lanczos call per pass and none for the refit: 5 folds at
+    # n = 300 make one call, leave-one-out at n = 400 makes 34 (12 folds a pass).
+    A, x, y = connected_instance(37, n=n)
+    runs = []
+    lanczos = baseline._lanczos
+
+    def counted(*args):
+        runs.append(args[1].shape[0])
+        return lanczos(*args)
+
+    def no_refit(*args):
+        raise AssertionError("cv_select_lambda called _refit")
+
+    monkeypatch.setattr(baseline, "_lanczos", counted)
+    monkeypatch.setattr(baseline, "_refit", no_refit)
+    fit = cv_select_lambda(A, x, y, n_folds=n_folds, seed=1)
+    per_pass = min(n_folds, max(5, n // 32))
+    assert len(runs) == passes
+    assert runs[0] == 2 * per_pass + 2
+    assert all(r <= 2 * per_pass for r in runs[1:])
+    monkeypatch.undo()
+    ref = fit_netcoh(A, x, y, fit.lam)
+    np.testing.assert_allclose(fit.alpha, ref.alpha, rtol=1e-10, atol=1e-10)
+    assert abs(fit.beta - ref.beta) <= 1e-10 * max(abs(ref.beta), 1.0)
 
 
 def test_cv_leave_one_out_memory():
     # Leave-one-out runs the folds in passes, so the Lanczos bases stay near
-    # twice the size of A (1.3 MB at n = 400) instead of growing with n_folds.
+    # twice the size of A (1.3 MB at n = 400) instead of growing with n_folds;
+    # the first pass's two whole-graph runs for the refit are kept past it.
     A, x, y = connected_instance(35, n=400)
     tracemalloc.start()
     cv_select_lambda(A, x, y, n_folds=400, seed=1)

@@ -3,7 +3,8 @@
 The check runs in a fresh interpreter: the threads that appear while numpy is
 imported are its OpenBLAS workers, and their CPU ticks (utime + stime in
 /proc/self/task/<tid>/stat) must not grow while an ablation and the CLI's
-``fit`` and ``infer`` run. A worker woken by one threaded numpy product spins
+``detect --scree-out`` (ARPACK at n = 600, k = 20), ``fit``, ``infer`` and
+``netcoh`` (the cohesion CV) run. A worker woken by one threaded numpy product spins
 for 0.1-0.2 s, so each phase is followed by a 0.3 s pause before its reading.
 """
 
@@ -57,12 +58,15 @@ if pool:
     d = sys.argv[1]
     files = {"network": "net.txt", "x": "x.csv", "y": "y.csv", "membership": "mem.csv"}
     inputs = [f"--{flag}={os.path.join(d, name)}" for flag, name in files.items()]
+    detect = ["detect", inputs[0], "--n=600", "--k=3", f"--out={d}/det.csv", f"--scree-out={d}/scree.csv"]
     phases = [
         ("network_ablation n=300", lambda: ablation(300)),
         ("network_ablation n=1000", lambda: ablation(1000)),
         ("gen_instance", lambda: write_inputs(d)),
         ("cli fit", lambda: cli.main(["fit", *inputs, f"--out={d}/fit.json", "--r2"])),
+        ("cli detect --scree-out", lambda: cli.main(detect)),
         ("cli infer", lambda: cli.main(["infer", *inputs, f"--out={d}/wald.csv"])),
+        ("cli netcoh", lambda: cli.main(["netcoh", *inputs[:3], f"--out={d}/nc.json"])),
     ]
     time.sleep(0.3)  # the workers spin once after they start
     last = ticks()

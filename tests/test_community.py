@@ -354,6 +354,9 @@ def lanczos_cases():
     A[: n // 2, : n // 2] = W
     A[n // 2 :, n // 2 :] = W
     yield "repeated", A, 4
+    # The CLI scree's k_max: ARPACK's basis is 3k + 4 = 64 vectors there.
+    rng = np.random.default_rng(45)
+    yield "sbm_k20", sample_sbm(assortative_params(rng, n, 4), seed=46), 20
 
 
 @pytest.mark.parametrize("case", list(lanczos_cases()), ids=lambda c: c[0])

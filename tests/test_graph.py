@@ -273,7 +273,7 @@ def _edge_line(draw):
     elif kind == "blank":
         body = ""
     else:
-        body = "#" + draw(st.sampled_from(["", " c", "0 1", "#"]))
+        body = "#" + draw(st.sampled_from(["", " c", "0 1", "#", " 1\t2 ", "x"]))
     return draw(_PAD) + body + draw(_PAD) + draw(st.sampled_from(["\n", "\r\n"]))
 
 
@@ -385,17 +385,32 @@ def test_load_edge_list_rewrites_wide_gaps_without_the_scan(tmp_path, monkeypatc
     assert np.array_equal(load_edge_list(path, 4), want)
 
 
-def test_load_edge_list_comment_falls_back_to_the_scan(tmp_path, monkeypatch):
+def test_load_edge_list_comment_lines_skip_the_scan(tmp_path, monkeypatch):
+    # Whole-line comments, indented or not, anywhere in the file; 32-byte chunks.
     lines = [f"{i} {(i + 1) % 30}" for i in range(30)]
     lines.insert(20, "# a comment past the first chunks")
+    lines.insert(5, " \t#0 1")
+    lines.insert(0, "# header")
+    lines.append("#")
     path = tmp_path / "net.txt"
     path.write_bytes("\r\n".join(lines).encode())
-    scans = []
-    scan = graph._scan_edge_list
     monkeypatch.setattr(graph, "_CHUNK", 32)
-    monkeypatch.setattr(graph, "_scan_edge_list", lambda *args: scans.append(scan(*args)))
+    monkeypatch.setattr(graph, "_scan_edge_list", _no_scan)
     assert np.array_equal(load_edge_list(path, 30), _load_edge_list_reference(path, 30))
-    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1 #2", "non-integer node index in '1 #2'"),
+    ("1 2 # edge", "expected two node indices, got 4 tokens"),
+    ("1# 2", "non-integer node index in '1# 2'"),
+])
+def test_load_edge_list_comment_past_a_line_start_is_the_scans_error(tmp_path, line, message):
+    path = tmp_path / "net.txt"
+    path.write_text(f"# header\n0 1\n{line}\n2 0\n")
+    with pytest.raises(EdgeListFormatError) as excinfo:
+        load_edge_list(path, 3)
+    assert excinfo.value.line_number == 3
+    assert str(excinfo.value) == f"{path}: line 3: {message}"
 
 
 def test_load_edge_list_bad_line_past_the_first_chunk(tmp_path):

@@ -220,6 +220,6 @@ def test_wald_table_csv(tmp_path):
     path = tmp_path / "wald.csv"
     wald_table(fit, variant="HC0").to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k1,k2,estimate,se,z,p,stars,variant"
+    assert lines[0] == "k1,k2,estimate,se,z,p,stars,variant,flag"
     assert len(lines) == 5
-    assert all(line.endswith("HC0") for line in lines[1:])
+    assert all(line.endswith("HC0,") for line in lines[1:])  # no cell is flagged

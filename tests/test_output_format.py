@@ -70,9 +70,9 @@ def test_netcoh_json_bytes(tmp_path):
     )
 
 
-def test_wald_table_bytes(tmp_path):
+def _flagged_wald_table():
     nan = math.nan
-    table = inference.TestTable(
+    return inference.TestTable(
         cells=[
             inference.TestCell(0, 0, 1.5, 0.5, 3.0, 0.0027, "**"),
             inference.TestCell(0, 1, 2.0, 0.0, math.inf, 0.0, "***", flag="zero_se"),
@@ -81,14 +81,31 @@ def test_wald_table_bytes(tmp_path):
         ],
         variant="HC3",
     )
+
+
+def test_wald_table_bytes(tmp_path):
     path = tmp_path / "wald.csv"
-    table.to_csv(path)
+    _flagged_wald_table().to_csv(path)
     assert path.read_bytes() == (
-        b"k1,k2,estimate,se,z,p,stars,variant\n"
-        b"0,0,1.5,0.5,3.0,0.0027,**,HC3\n"
-        b"0,1,2.0,0.0,inf,0.0,***,HC3\n"
-        b"1,0,nan,nan,nan,nan,,HC3\n"
-        b"1,1,nan,nan,nan,nan,,HC3\n"
+        b"k1,k2,estimate,se,z,p,stars,variant,flag\n"
+        b"0,0,1.5,0.5,3.0,0.0027,**,HC3,\n"
+        b"0,1,2.0,0.0,inf,0.0,***,HC3,zero_se\n"
+        b"1,0,nan,nan,nan,nan,,HC3,singular\n"
+        b"1,1,nan,nan,nan,nan,,HC3,singular\n"
+    )
+
+
+def test_wald_table_text_marks_flagged_cells():
+    # A flagged cell shows its flag where the p-value goes, and each flag in
+    # the table is explained once below it.
+    assert _flagged_wald_table().to_text() == (
+        "target            source 1          source 2\n"
+        "1            1.500 ± 0.500     2.000 ± 0.000\n"
+        "               (**) 0.0027         [zero_se]\n"
+        "2                nan ± nan         nan ± nan\n"
+        "                [singular]        [singular]\n"
+        "[singular] the target community's Hessian is singular: no standard error\n"
+        "[zero_se] the standard error is 0: z is infinite"
     )
 
 

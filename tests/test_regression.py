@@ -432,3 +432,94 @@ def test_fit_result_serialization(tmp_path):
     lines = fitted_csv.read_text().strip().splitlines()
     assert lines[0] == "node_id,fitted"
     assert len(lines) == 31
+
+
+# Properties under hypothesis: node permutations, scaling of x and y, and
+# centring twice.
+
+
+@st.composite
+def _network_problem(draw):
+    """A, x, y and a membership: 0/1 or weighted, symmetric or directed."""
+    K = draw(st.integers(1, 4), label="K")
+    n = draw(st.integers(3 * K, 40), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    A = (rng.random((n, n)) < draw(st.sampled_from([0.2, 0.5, 0.9]), label="density")).astype(float)
+    if draw(st.booleans(), label="weighted"):
+        A *= rng.uniform(0.1, 5.0, size=(n, n))
+    if draw(st.booleans(), label="symmetric"):
+        A = np.triu(A) + np.triu(A, k=1).T
+    np.fill_diagonal(A, 1.0)
+    return A, rng.standard_normal(n), rng.standard_normal(n), random_membership(rng, n, K)
+
+
+def _conditioning(A, x, m) -> float:
+    """Largest condition number of the per-community normal matrices, on the eigenvalues pinv_psd keeps."""
+    N = aggregate(A, x[:, None], m)
+    worst = 1.0
+    for k in range(m.n_communities):
+        Nk = N[m.labels == k]
+        w = np.linalg.eigvalsh(Nk.T @ Nk)
+        kept = w[w > m.n * np.finfo(np.float64).eps * max(w[-1], 0.0)]
+        if kept.size:
+            worst = max(worst, kept[-1] / kept[0])
+    return worst
+
+
+def _close(got, want, rtol):
+    """Equal up to rtol of the larger array's largest entry."""
+    scale = max(float(np.abs(want).max(initial=0.0)), 1.0)
+    np.testing.assert_allclose(got, want, rtol=0, atol=rtol * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_network_problem(), data=st.data())
+def test_fit_and_predict_are_node_permutation_equivariant(problem, data):
+    # Relabelling the nodes by P permutes the fitted values and keeps beta:
+    # fit(P A P^T, P x, P y, labels o P^-1) = (beta, P fitted). Only the
+    # order of the sums changes, so the two fits agree to rounding times the
+    # conditioning of the normal equations.
+    A, x, y, m = problem
+    n = x.size
+    perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+    A_p, x_p, y_p = A[np.ix_(perm, perm)], x[perm], y[perm]
+    m_p = Membership(labels=m.labels[perm], n_communities=m.n_communities)
+    fit, fit_p = fit_full(A, x, y, m), fit_full(A_p, x_p, y_p, m_p)
+    rtol = 1e-14 * _conditioning(A, x, m)
+    assert fit_p.min_norm == fit.min_norm
+    _close(fit_p.beta, fit.beta, rtol)
+    _close(fit_p.fitted, fit.fitted[perm], rtol)
+    beta = data.draw(st.sampled_from([fit.beta, np.ones_like(fit.beta)]), label="beta")
+    _close(predict(A_p, x_p, m_p, beta), predict(A, x, m, beta)[perm], 1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    problem=_network_problem(),
+    c=st.sampled_from([-4.0, 0.25, 2.0, 2.0**20]),
+    d=st.sampled_from([-0.5, 2.0, 8.0, 2.0**-10]),
+)
+def test_fit_full_is_scale_covariant(problem, c, d):
+    # fit(A, c x, d y) has coefficients (d / c) beta and fitted values
+    # d * fitted. Scaling by a power of two is exact in every step (the
+    # aggregate, the normal equations, their eigendecomposition and pinv_psd's
+    # rank rule), so the results are equal bit for bit.
+    A, x, y, m = problem
+    fit, scaled = fit_full(A, x, y, m), fit_full(A, c * x, d * y, m)
+    assert scaled.min_norm == fit.min_norm
+    assert np.array_equal(scaled.beta, (d / c) * fit.beta)
+    assert np.array_equal(scaled.fitted, d * fit.fitted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_network_problem())
+def test_center_data_is_idempotent(problem):
+    # Centring the centred response, or target community k's centred
+    # covariate, again changes neither.
+    A, x, y, m = problem
+    first = center_data(A, x, y, m)
+    for k in range(m.n_communities):
+        again = center_data(A, first.covariate[k], first.response, m)
+        _close(again.response, first.response, 1e-12)
+        _close(again.covariate[k], first.covariate[k], 1e-12)
+        assert again.zero_blocks == first.zero_blocks
