@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Rows per block of the symmetry pass, and of the 0/1 check in graph.validate_adjacency.
+# Rows per block of the 0/1 check in graph.validate_adjacency.
 _BLOCK = 32
+# Side of the square tiles the symmetry pass compares with their mirror images.
+_TILE = 128
 
 
 def reject_non_finite_rows(M: np.ndarray, of: str = "") -> None:
@@ -38,21 +40,25 @@ def square(adjacency, n: int | None = None) -> np.ndarray:
 def symmetric(adjacency, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``square(adjacency, n)``, finite and symmetric, and the same matrix in Fortran order.
 
-    One pass over the upper triangle checks both: A[i:i+b, i:] - A[i:, i:i+b].T
-    is 0 exactly where a pair is finite and equal (inf - inf is nan, and an
-    overflowing difference is inf), so a nonzero (nan included) entry fails.
-    For C-contiguous A the Fortran view is A.T.
+    One pass over the upper triangle's tiles checks both: with t = 128,
+    A[i:i+t, j:j+t] - A[j:j+t, i:i+t].T is 0 exactly where a pair is finite
+    and equal (inf - inf is nan, and an overflowing difference is inf), so a
+    nonzero (nan included) entry fails. Whole tiles keep the mirror's reads
+    short strided runs instead of single rows. For C-contiguous A the Fortran
+    view is A.T.
     """
     A = square(adjacency, n)
+    size = A.shape[0]
     with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(0, A.shape[0], _BLOCK):
-            if (A[i : i + _BLOCK, i:] - A[i:, i : i + _BLOCK].T).any():
-                reject_non_finite_rows(A)
-                r, c = np.argwhere(A != A.T)[0]  # the first in row-major order
-                a, b = (np.format_float_positional(v, trim="-") for v in (A[r, c], A[c, r]))
-                raise ValueError(
-                    f"adjacency must be symmetric; A[{r}, {c}] = {a} but A[{c}, {r}] = {b}"
-                )
+        for i in range(0, size, _TILE):
+            for j in range(i, size, _TILE):
+                if (A[i : i + _TILE, j : j + _TILE] - A[j : j + _TILE, i : i + _TILE].T).any():
+                    reject_non_finite_rows(A)
+                    r, c = np.argwhere(A != A.T)[0]  # the first in row-major order
+                    a, b = (np.format_float_positional(v, trim="-") for v in (A[r, c], A[c, r]))
+                    raise ValueError(
+                        f"adjacency must be symmetric; A[{r}, {c}] = {a} but A[{c}, {r}] = {b}"
+                    )
     return A, A.T if A.flags.c_contiguous else np.asfortranarray(A)
 
 

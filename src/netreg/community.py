@@ -23,6 +23,10 @@ from ._io import write_csv
 _EXHAUSTIVE_PERM_MAX_K = 8
 # Dense eigendecomposition below this size; Lanczos above.
 _DENSE_EIG_MAX_N = 500
+# Restarts per batched Lloyd: as many as keep a restarts x K x n array of
+# distances within 2^15 entries (256 KiB), so that a batch's temporaries stay
+# near one restart's. All ten default restarts fit at n = 1000 and K = 3.
+_LLOYD_BATCH_ENTRIES = 2**15
 
 
 class DegenerateInputError(ValueError):
@@ -275,37 +279,153 @@ def _kmeanspp_centers(points: np.ndarray, K: int, rng: np.random.Generator) -> n
     return centers
 
 
+def _pairwise_sum(term, count: int) -> np.ndarray:
+    """term(0) + ... + term(count - 1), elementwise, in numpy's pairwise order.
+
+    Stacked on a last axis, the terms would sum (``sum(axis=-1)``) by numpy's
+    ``pairwise_sum`` over each row of ``count`` values: in order below 8
+    values, eight running sums up to 128, halves at a multiple of 8 above.
+    This adds whole arrays in that order, so the result has those bits
+    without a reduction call per row, which is what makes a sum over a short
+    last axis slow. ``term(j)`` returns a new array; below 8 terms only the
+    running sum and one term are alive. ``test_pairwise_sum_is_numpys``
+    checks the order.
+    """
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        total = _pairwise_sum(term, half)
+        total += _pairwise_sum(lambda j: term(half + j), count - half)
+        return total
+    if count < 8:
+        total = term(0)
+        for j in range(1, count):
+            total += term(j)
+        return total
+    acc = [term(j) for j in range(8)]
+    tail = count - count % 8
+    for i in range(8, tail, 8):
+        for j, running in enumerate(acc):
+            running += term(i + j)
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        acc[a] += acc[b]
+    total = acc[0]  # ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+    for j in range(tail, count):
+        total += term(j)
+    return total
+
+
+def _repair_empty(points: np.ndarray, d2: np.ndarray, labels: np.ndarray, counts: np.ndarray):
+    """Fill each empty cluster with the point farthest from its center, in place.
+
+    ``d2`` is one restart's n x K squared distances, ``labels`` and
+    ``counts`` its assignment; a donor keeps at least one point.
+    """
+    n = labels.size
+    for k in np.flatnonzero(counts == 0):
+        assigned = d2[np.arange(n), labels]
+        donor_ok = counts[labels] > 1
+        assigned = np.where(donor_ok, assigned, -np.inf)
+        far = int(np.argmax(assigned))
+        counts[labels[far]] -= 1
+        labels[far] = k
+        counts[k] += 1
+        d2[:, k] = ((points - points[far]) ** 2).sum(axis=1)
+
+
+def _assign(points: np.ndarray, cols: np.ndarray, centers: np.ndarray):
+    """Each restart's labels (a x n) and cluster sizes (a x K), empty clusters repaired.
+
+    A point goes to its nearest center, the lowest index on a tie; squared
+    distances are summed over dimensions in numpy's order (``_pairwise_sum``).
+    ``cols`` is ``points.T``.
+    """
+    a, K, _ = centers.shape
+
+    def squared_distance(j):  # a x K x n: dimension j of every point to every center
+        diff = cols[j] - centers[:, :, j, None]
+        return np.multiply(diff, diff, out=diff)
+
+    d2 = _pairwise_sum(squared_distance, cols.shape[0])
+    labels = d2.argmin(axis=1)
+    counts = np.bincount(_bins(labels, K), minlength=a * K).reshape(a, K)
+    for r in np.flatnonzero((counts == 0).any(axis=1)):
+        _repair_empty(points, d2[r].T, labels[r], counts[r])
+    return labels, counts
+
+
+def _bins(labels: np.ndarray, K: int) -> np.ndarray:
+    """The a x n labels, flattened, with restart r's clusters as bins r*K..r*K+K-1."""
+    return (labels + K * np.arange(labels.shape[0])[:, None]).ravel()
+
+
+def _centers(points: np.ndarray, cols: np.ndarray, labels: np.ndarray, counts: np.ndarray):
+    """Each restart's cluster means (a x K x d): its points' sum in index order over their count.
+
+    A weighted ``bincount`` adds a cluster's rows in index order, as numpy's
+    mean over rows does. A one-column mean is numpy's pairwise sum instead,
+    so that case takes the mean itself.
+    """
+    (a, K), d = counts.shape, cols.shape[0]
+    if d == 1:
+        return np.array([[points[lab == k].mean(axis=0) for k in range(K)] for lab in labels])
+    bins = _bins(labels, K)
+    sums = [np.bincount(bins, weights=np.tile(col, a), minlength=a * K) for col in cols]
+    return np.stack(sums, axis=-1).reshape(a, K, d) / counts[:, :, None]
+
+
+def _objectives(cols: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each restart's ((points - centers[labels]) ** 2).sum(), over n x d entries in row order."""
+    (d, n), (a, K, _) = cols.shape, centers.shape
+    bins = _bins(labels, K)
+    resid = np.empty((a, n, d))
+    for j in range(d):
+        np.subtract(cols[j], centers[:, :, j].ravel()[bins].reshape(a, n), out=resid[:, :, j])
+    return np.multiply(resid, resid, out=resid).reshape(a, -1).sum(axis=1)
+
+
 def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300):
-    n, K = points.shape[0], centers.shape[0]
-    prev_obj = np.inf
-    labels = np.full(n, -1, dtype=np.int64)
+    """Lloyd's algorithm for R restarts at once from their R x K x d ``centers``.
+
+    Returns the R x n labels and the R objectives. Each restart runs as it
+    would alone, bit for bit (``_assign``, ``_centers``, ``_objectives``),
+    and leaves the batch once its labels repeat.
+    """
+    R, n = centers.shape[0], points.shape[0]
+    cols = np.ascontiguousarray(points.T)
+    out_labels = np.empty((R, n), dtype=np.int64)
+    out_obj = np.empty(R)
+    active = np.arange(R)
+    labels = np.full((R, n), -1, dtype=np.int64)
+    prev_obj = np.full(R, np.inf)
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        # Repair empty clusters: move the point currently farthest from its
-        # center into the empty cluster and anchor the center there.
-        counts = np.bincount(new_labels, minlength=K)
-        for k in np.nonzero(counts == 0)[0]:
-            assigned = d2[np.arange(n), new_labels]
-            donor_ok = counts[new_labels] > 1
-            assigned = np.where(donor_ok, assigned, -np.inf)
-            far = int(np.argmax(assigned))
-            counts[new_labels[far]] -= 1
-            new_labels[far] = k
-            counts[k] += 1
-            centers[k] = points[far]
-            d2[:, k] = ((points - centers[k]) ** 2).sum(axis=1)
-        converged = np.array_equal(new_labels, labels)
+        new_labels, counts = _assign(points, cols, centers)
+        converged = (new_labels == labels).all(axis=1)
         labels = new_labels
-        for k in range(K):
-            centers[k] = points[labels == k].mean(axis=0)
-        obj = float(((points - centers[labels]) ** 2).sum())
-        if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj if np.isfinite(prev_obj) else 0.0)):
+        centers = _centers(points, cols, labels, counts)
+        obj = _objectives(cols, centers, labels)
+        slack = 1e-9 * (1.0 + np.abs(np.where(np.isfinite(prev_obj), prev_obj, 0.0)))
+        if (obj > prev_obj + slack).any():
             raise RuntimeError("k-means objective increased")
-        prev_obj = obj
-        if converged:
+        done = active[converged]
+        out_labels[done], out_obj[done] = labels[converged], obj[converged]
+        keep = ~converged
+        active, labels, centers, prev_obj = active[keep], labels[keep], centers[keep], obj[keep]
+        if not active.size:
             break
-    return labels, prev_obj
+    out_labels[active], out_obj[active] = labels, prev_obj
+    return out_labels, out_obj
+
+
+def _has_distinct_rows(points: np.ndarray, count: int) -> bool:
+    """Whether ``points`` has at least ``count`` distinct rows; stops at the count-th."""
+    seen = np.zeros(points.shape[0], dtype=bool)
+    for _ in range(count):
+        unseen = np.flatnonzero(~seen)
+        if not unseen.size:
+            return False
+        seen |= (points == points[unseen[0]]).all(axis=1)
+        seen[unseen[0]] = True  # a row with a nan equals no row, itself included
+    return True
 
 
 def kmeans(embedding, n_clusters: int, seed: int, restarts: int = 10) -> Membership:
@@ -314,6 +434,7 @@ def kmeans(embedding, n_clusters: int, seed: int, restarts: int = 10) -> Members
     Deterministic given ``seed``: restart r uses the r-th spawned child seed,
     and ties in the final objective go to the lowest restart index. Empty
     clusters are repaired by stealing the point farthest from its center.
+    The restarts run together in batched Lloyds (``_lloyd``).
     """
     points = embedding.vectors if isinstance(embedding, SpectralEmbedding) else np.asarray(
         embedding, dtype=np.float64
@@ -321,20 +442,23 @@ def kmeans(embedding, n_clusters: int, seed: int, restarts: int = 10) -> Members
     K = int(n_clusters)
     if K < 1:
         raise ValueError("n_clusters must be >= 1")
-    if np.unique(points, axis=0).shape[0] < K:
+    if not _has_distinct_rows(points, K):
         raise DegenerateInputError(
             f"need at least {K} distinct rows to form {K} clusters"
         )
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    best_labels, best_obj = None, np.inf
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        centers = _kmeanspp_centers(points, K, rng)
-        labels, obj = _lloyd(points, centers.copy())
+    seeds = np.random.SeedSequence(seed).spawn(restarts)
+    centers = np.stack([_kmeanspp_centers(points, K, np.random.default_rng(s)) for s in seeds])
+    batch = max(1, _LLOYD_BATCH_ENTRIES // (K * points.shape[0]))
+    runs = [_lloyd(points, centers[i : i + batch]) for i in range(0, restarts, batch)]
+    labels = np.concatenate([lab for lab, _ in runs])
+    objectives = np.concatenate([obj for _, obj in runs])
+    best, best_obj = None, np.inf
+    for r, obj in enumerate(objectives.tolist()):
         if obj < best_obj:
-            best_labels, best_obj = labels, obj
-    return Membership(labels=best_labels, n_communities=K)
+            best, best_obj = r, obj
+    return Membership(labels=labels[best], n_communities=K)
 
 
 def detect_communities(

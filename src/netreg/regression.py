@@ -142,19 +142,38 @@ class FitResult:
         write_csv(path, ["node_id", "fitted"], enumerate(self.fitted.tolist()))
 
 
-def _fit(adjacency, covariate, response, membership: Membership, structure, solve) -> FitResult:
+def _aggregates(adjacency, x, membership: Membership, aggregates) -> np.ndarray:
+    """N = ``aggregate(A, x[:, None], membership)``, or the caller's ``aggregates``.
+
+    Given ``aggregates``, A is not read; they must be n x K and finite.
+    """
+    if aggregates is None:
+        return aggregate(adjacency, x[:, None], membership)
+    N = np.asarray(aggregates, dtype=np.float64)
+    shape = (membership.n, membership.n_communities)
+    if N.shape != shape:
+        raise ValueError(f"aggregates must be {shape[0]}x{shape[1]}, got {N.shape}")
+    finite = np.isfinite(N)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ValueError(f"aggregates must be finite; row {row} is not")
+    return N
+
+
+def _fit(
+    adjacency, covariate, response, membership: Membership, structure, solve, aggregates=None
+) -> FitResult:
     """The structure fitters' one body: check the inputs, aggregate once, solve, predict.
 
     ``solve(N, y, membership)`` returns the K x K coefficients and the
     min-norm flags; ``predict`` is looked up at call time, so wrapping the
-    module global wraps this call too.
+    module global wraps this call too. Given ``aggregates``, A is not read.
     """
-    A = square(adjacency, membership.n)
     x = vector(covariate, membership.n, "covariate")
     y = vector(response, membership.n, "response")
-    N = aggregate(A, x[:, None], membership)
+    N = _aggregates(adjacency, x, membership, aggregates)
     beta, flags = solve(N, y, membership)
-    fitted = predict(A, x, membership, beta, aggregates=N)
+    fitted = predict(None, x, membership, beta, aggregates=N)
     return FitResult(
         beta=beta,
         structure=structure,
@@ -166,33 +185,33 @@ def _fit(adjacency, covariate, response, membership: Membership, structure, solv
     )
 
 
-def fit_full(adjacency, covariate, response, membership: Membership) -> FitResult:
+def fit_full(adjacency, covariate, response, membership: Membership, aggregates=None) -> FitResult:
     """Blockwise least squares: solve M_k^T M_k b = M_k^T y per community.
 
     Each row of the returned K x K coefficient matrix is estimated from the
     responses of one community; rank-deficient communities get the min-norm
-    solution and are flagged in the result.
+    solution and are flagged in the result. ``aggregates``, when given, is
+    the n x K aggregate N = A (x (x) Z) of some network; ``adjacency`` is
+    then not read and may be None.
     """
-    return _fit(adjacency, covariate, response, membership, "full", _solve_per_community)
+    return _fit(
+        adjacency, covariate, response, membership, "full", _solve_per_community, aggregates
+    )
 
 
 def predict(adjacency, covariate, membership: Membership, beta, aggregates=None) -> np.ndarray:
     """Model predictions ((Z beta Z^T) * A) x for a given coefficient matrix.
 
     ``aggregates`` is ``aggregate(A, x[:, None], membership)`` when the caller
-    already holds it (the fitters do); it is then used instead of recomputed.
+    already holds it (the fitters do); it is then used instead of recomputed,
+    and ``adjacency`` is not read and may be None.
     """
-    A = square(adjacency, membership.n)
     x = vector(covariate, membership.n, "covariate")
     beta = np.asarray(beta, dtype=np.float64)
     K = membership.n_communities
     if beta.shape != (K, K):
         raise ValueError(f"beta must be {K}x{K}, got {beta.shape}")
-    if aggregates is None:
-        aggregates = aggregate(A, x[:, None], membership)
-    elif aggregates.shape != (membership.n, K):
-        raise ValueError(f"aggregates must be {membership.n}x{K}, got {aggregates.shape}")
-    return _fitted(aggregates, beta, membership)
+    return _fitted(_aggregates(adjacency, x, membership, aggregates), beta, membership)
 
 
 def loss(adjacency, covariate, response, membership: Membership, beta) -> float:

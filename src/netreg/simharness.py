@@ -21,7 +21,7 @@ import scipy
 from scipy.linalg import blas
 
 from ._io import write_csv
-from .baseline import ablation_network, cv_select_lambda, predict_netcoh
+from .baseline import cv_select_lambda, predict_netcoh
 from .community import Membership, align_permutation, detect_communities, perturb_membership
 from .graph import SbmParams, sample_sbm
 from .metrics import estimation_error, prediction_error
@@ -257,6 +257,23 @@ def _replicates(config: ExperimentConfig):
 _FITTERS = {"full": fit_full, "row": fit_row, "singleton": fit_singleton}
 
 
+def _ablation_aggregates(estimator: str, x: np.ndarray, membership: Membership) -> np.ndarray:
+    """The aggregate N = A (x (x) Z) of the identity or complete network, without A.
+
+    For the identity, row i holds x_i in column c(i) and zeros elsewhere:
+    the bits of ``aggregate(np.eye(n), x[:, None], membership)``. For the
+    complete network, every row is the community sums 1^T (x (x) Z), added
+    in node order; the ``dgemm`` adds in another order, so the two agree to
+    rounding.
+    """
+    n, K = membership.n, membership.n_communities
+    if estimator == "identity_net":
+        N = np.zeros((n, K))
+        N[np.arange(n), membership.labels] = x
+        return N
+    return np.tile(np.bincount(membership.labels, weights=x, minlength=K), (n, 1))
+
+
 def _errors(config, estimator, inst, Z, Q, coords) -> tuple:
     """(err_est, err_pred) of one estimator fitted on one replicate."""
     A, x, y = inst.adjacency, inst.covariate, inst.response
@@ -265,7 +282,7 @@ def _errors(config, estimator, inst, Z, Q, coords) -> tuple:
         nc = cv_select_lambda(A, x, y, n_folds=config.netcoh_folds, seed=seed)
         return None, prediction_error(predict_netcoh(nc, x), y)
     if estimator in ("identity_net", "complete_net"):
-        fit = fit_full(ablation_network(estimator.removesuffix("_net"), x.size), x, y, Z)
+        fit = fit_full(None, x, y, Z, aggregates=_ablation_aggregates(estimator, x, Z))
     else:
         fit = _FITTERS[estimator](A, x, y, Z)
     return estimation_error(fit.beta, inst.beta_star, Q), prediction_error(fit.fitted, y)
@@ -285,6 +302,7 @@ def run_rows(config: ExperimentConfig) -> list:
     for structure, n, K, rep, coords in _replicates(config):
         inst_seed = derive_seed(*coords, _TAG_INSTANCE)
         prepared = "ok"
+        inst = None  # the previous replicate's A is freed before the next is drawn
         try:
             inst = gen_instance(n, K, config.noise_sd, inst_seed, structure=structure)
             if not perturbed:  # misspecification perturbs per alpha_n below

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import netreg
 from conftest import assortative_params, random_membership
@@ -119,6 +121,142 @@ def test_kmeans_deterministic():
     m1 = kmeans(pts, 3, seed=5)
     m2 = kmeans(pts, 3, seed=5)
     assert np.array_equal(m1.labels, m2.labels)
+
+
+# The per-restart Lloyd that community._lloyd batches, kept as the oracle for
+# its bits: labels, objectives and the empty-cluster repair.
+def _lloyd_one_restart(points, centers, max_iter=300):
+    n, K = points.shape[0], centers.shape[0]
+    prev_obj = np.inf
+    labels = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        counts = np.bincount(new_labels, minlength=K)
+        for k in np.nonzero(counts == 0)[0]:
+            assigned = d2[np.arange(n), new_labels]
+            donor_ok = counts[new_labels] > 1
+            assigned = np.where(donor_ok, assigned, -np.inf)
+            far = int(np.argmax(assigned))
+            counts[new_labels[far]] -= 1
+            new_labels[far] = k
+            counts[k] += 1
+            centers[k] = points[far]
+            d2[:, k] = ((points - centers[k]) ** 2).sum(axis=1)
+        converged = np.array_equal(new_labels, labels)
+        labels = new_labels
+        for k in range(K):
+            centers[k] = points[labels == k].mean(axis=0)
+        obj = float(((points - centers[labels]) ** 2).sum())
+        if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj if np.isfinite(prev_obj) else 0.0)):
+            raise RuntimeError("k-means objective increased")
+        prev_obj = obj
+        if converged:
+            break
+    return labels, prev_obj
+
+
+def _kmeans_one_restart_at_a_time(points, K, seed, restarts=10):
+    if np.unique(points, axis=0).shape[0] < K:
+        raise DegenerateInputError(f"need at least {K} distinct rows to form {K} clusters")
+    best_labels, best_obj = None, np.inf
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        centers = community._kmeanspp_centers(points, K, np.random.default_rng(child))
+        labels, obj = _lloyd_one_restart(points, centers.copy())
+        if obj < best_obj:
+            best_labels, best_obj = labels, obj
+    return best_labels
+
+
+def _outcome(call):
+    """What ``call`` returns, or the type of what it raises."""
+    try:
+        return call()
+    except (RuntimeError, DegenerateInputError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _points(draw, max_rows=40):
+    """n x d points drawn from a pool of at most 8 rows, so rows repeat."""
+    d = draw(st.integers(1, 10))
+    value = st.one_of(
+        st.integers(-2, 2).map(float),
+        st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False),
+    )
+    pool = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=8))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=max_rows))
+    return np.array(pool, dtype=np.float64)[rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=_points(), K=st.integers(1, 5), R=st.integers(1, 4), data=st.data())
+def test_batched_lloyd_matches_one_restart_at_a_time(points, K, R, data):
+    # Start centers are points, some repeated: a repeated center starts empty
+    # and takes the repair. A restart's bits must not depend on the others.
+    n = points.shape[0]
+    assume(n >= K)  # kmeans asks for K distinct rows first; a repair needs a donor
+    starts = data.draw(st.lists(st.integers(0, n - 1), min_size=R * K, max_size=R * K))
+    centers = points[starts].reshape(R, K, -1)
+    got = _outcome(lambda: community._lloyd(points, centers.copy()))
+    want = [_outcome(lambda: _lloyd_one_restart(points, c.copy())) for c in centers]
+    if got is RuntimeError or RuntimeError in want:
+        assert got is RuntimeError and RuntimeError in want
+        return
+    labels, objectives = got
+    for r, (want_labels, want_obj) in enumerate(want):
+        assert np.array_equal(labels[r], want_labels)
+        assert objectives[r].tobytes() == np.float64(want_obj).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 9])
+def test_batched_lloyd_on_long_clusters(d):
+    # Clusters of hundreds of points, so the order a center's sum adds them in
+    # shows in its bits: for one column numpy's mean adds pairwise.
+    rng = np.random.default_rng(d)
+    points = rng.standard_normal((600, d))
+    centers = points[rng.integers(0, 600, size=(4, 3))]
+    labels, objectives = community._lloyd(points, centers.copy())
+    for r in range(4):
+        want_labels, want_obj = _lloyd_one_restart(points, centers[r].copy())
+        assert np.array_equal(labels[r], want_labels)
+        assert objectives[r].tobytes() == np.float64(want_obj).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=_points(), K=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), R=st.integers(1, 5))
+def test_kmeans_matches_one_restart_at_a_time(points, K, seed, R):
+    want = _outcome(lambda: _kmeans_one_restart_at_a_time(points, K, seed, R))
+    got = _outcome(lambda: kmeans(points, K, seed, R).labels)
+    if isinstance(want, type):
+        assert got is want  # fewer than K distinct rows is DegenerateInputError
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("entries", [1, 200, 2**15])
+def test_kmeans_in_batches_matches_one_restart_at_a_time(monkeypatch, entries):
+    # 40 points and K = 2 take 80 entries per restart: batches of 1, 2 and 10.
+    monkeypatch.setattr(community, "_LLOYD_BATCH_ENTRIES", entries)
+    rng = np.random.default_rng(entries)
+    points = np.vstack([rng.normal(0.0, 1.0, (25, 3)), rng.normal(1.5, 1.0, (15, 3))])
+    want = _kmeans_one_restart_at_a_time(points, 2, seed=entries)
+    assert np.array_equal(kmeans(points, 2, seed=entries).labels, want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kmeans_on_embeddings_matches_one_restart_at_a_time(seed):
+    K = 3 + seed % 3
+    emb = spectral_embed(gen_instance(600, K, 0.5, seed=seed).adjacency, K)
+    want = _kmeans_one_restart_at_a_time(emb.vectors, K, seed)
+    assert np.array_equal(kmeans(emb, K, seed).labels, want)
+
+
+@pytest.mark.parametrize("d", [*range(1, 20), 127, 128, 129, 136, 300])
+def test_pairwise_sum_is_numpys(d):
+    t = np.random.default_rng(d).random((3, 4, d))
+    got = community._pairwise_sum(lambda j: t[..., j].copy(), d)
+    assert got.tobytes() == t.sum(axis=-1).tobytes()
 
 
 def test_estimate_k_two_blocks():

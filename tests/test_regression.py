@@ -342,6 +342,34 @@ def test_predict_rejects_misshapen_aggregates():
         predict(A, x, m, np.ones((2, 2)), aggregates=np.ones((40, 3)))
 
 
+def test_fit_full_on_given_aggregates_reads_no_adjacency():
+    A, x, m = small_instance(39, n=120, n_communities=3)
+    y = np.random.default_rng(40).standard_normal(120)
+    direct = fit_full(A, x, y, m)
+    given = fit_full(None, x, y, m, aggregates=aggregate(A, x[:, None], m))
+    for field in ("beta", "fitted", "residuals", "aggregates"):
+        assert getattr(given, field).tobytes() == getattr(direct, field).tobytes()
+    assert given.min_norm == direct.min_norm
+
+
+_ENTRY = np.arange(80).reshape(40, 2)  # entry numbers of a 40 x 2 aggregate in row order
+
+
+@pytest.mark.parametrize(
+    "N, message",
+    [
+        (np.ones((40, 3)), r"^aggregates must be 40x2, got \(40, 3\)$"),
+        (np.ones(40), r"^aggregates must be 40x2, got \(40,\)$"),
+        (np.where(_ENTRY == 15, np.nan, 1.0), r"^aggregates must be finite; row 7 is not$"),
+        (np.where(_ENTRY == 78, -np.inf, 1.0), r"^aggregates must be finite; row 39 is not$"),
+    ],
+)
+def test_fit_full_rejects_bad_aggregates(N, message):
+    _, x, m = small_instance(38, n=40, n_communities=2)
+    with pytest.raises(ValueError, match=message):
+        fit_full(None, x, x, m, aggregates=N)
+
+
 _ADJACENCY_USERS = {
     "fit_full": fit_full,
     "fit_row": fit_row,

@@ -1,17 +1,19 @@
 import csv
 import json
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 import scipy
 
+import netreg
 from netreg import ExperimentConfig, fit_full, gen_instance, predict, run_experiment
 from netreg import simharness
 from netreg.baseline import ablation_network, cv_select_lambda, predict_netcoh
 from netreg.community import align_permutation, detect_communities, perturb_membership
 from netreg.metrics import estimation_error, prediction_error
-from netreg.regression import fit_row, fit_singleton
+from netreg.regression import aggregate, fit_row, fit_singleton
 from netreg.simharness import (
     default_alpha_grid,
     derive_seed,
@@ -211,13 +213,55 @@ def test_rows_match_direct_computation(kind):
             expected = (None, prediction_error(predict_netcoh(nc, x), y))
         else:
             if r.estimator in ("identity_net", "complete_net"):
-                A = ablation_network(r.estimator.split("_")[0], r.n)
-            fit = fitters.get(r.estimator, fit_full)(A, x, y, Z)
+                N = simharness._ablation_aggregates(r.estimator, x, Z)
+                fit = fit_full(None, x, y, Z, aggregates=N)
+            else:
+                fit = fitters.get(r.estimator, fit_full)(A, x, y, Z)
             expected = (
                 estimation_error(fit.beta, inst.beta_star, Q),
                 prediction_error(fit.fitted, y),
             )
         assert (r.err_est, r.err_pred) == expected
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_ablation_aggregates_match_the_networks(n):
+    # The closed forms stand in for the identity and complete networks: the
+    # identity's bits are the dgemm's, the complete one's agree to rounding.
+    inst = gen_instance(n, 3, 0.5, seed=n)
+    x, Z = inst.covariate, inst.membership
+    identity = aggregate(ablation_network("identity", n), x[:, None], Z)
+    got = simharness._ablation_aggregates("identity_net", x, Z)
+    assert got.tobytes() == identity.tobytes()
+    complete = aggregate(ablation_network("complete", n), x[:, None], Z)
+    got = simharness._ablation_aggregates("complete_net", x, Z)
+    assert np.all(np.abs(got - complete) <= 1e-12 * np.abs(complete))
+
+
+def test_ablation_rows_build_no_network(monkeypatch):
+    def refuse(kind, n):
+        raise AssertionError("ablation_network called")
+
+    monkeypatch.setattr(netreg.baseline, "ablation_network", refuse)
+    monkeypatch.setattr(netreg, "ablation_network", refuse)
+    rows = run_rows(_tiny_ablation_config(estimators=["identity_net", "complete_net"]))
+    assert [r.status for r in rows] == ["ok"] * 4
+
+
+def test_one_instance_alive_at_a_time():
+    # A replicate holds one n x n matrix, A: the previous replicate's A is
+    # freed before the next is drawn, and the ablations build no network.
+    n = 1000
+    config = ExperimentConfig(kind="network_ablation", n_grid=[n], k_grid=[3], replicates=2)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        rows = run_rows(config)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert all(r.status == "ok" for r in rows)
+    assert peak < 2 * n * n * 8
 
 
 def test_rerun_is_byte_identical(tmp_path):
