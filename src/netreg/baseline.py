@@ -129,6 +129,9 @@ def _checked(adjacency, covariate, response):
 _LANCZOS_RTOL = 1e-13
 # Basis steps allocated at a time; runs on the paper's networks take 20-31.
 _LANCZOS_CHUNK = 32
+# Blocks of at most this many runs advance by one dsymv per run, not a dgemm:
+# at n = 2000 two dsymv took 0.85 ms a step, a two-column dgemm 1.5-1.9 ms.
+_DSYMV_MAX_RUNS = 2
 
 
 def _lanczos(A_f, rhs, mask, deg, held, lambdas):
@@ -138,7 +141,8 @@ def _lanczos(A_f, rhs, mask, deg, held, lambdas):
     is zero off the run's training nodes (mask[r] = 1), L_r v =
     deg[r] v - mask[r] (A v) is the training subgraph's Laplacian, where deg[r]
     = A mask[r]; one dgemm of A_f (A in Fortran order) with the block of
-    current basis vectors advances every run. The held-out rows ``held[r]`` of
+    current basis vectors advances every run, or one dsymv per run for a
+    block of up to _DSYMV_MAX_RUNS runs. The held-out rows ``held[r]`` of
     each product -A v are kept for the harmonic extension, gathered by one
     flat take.
 
@@ -180,10 +184,15 @@ def _lanczos(A_f, rhs, mask, deg, held, lambdas):
     shrink = np.empty_like(pivot)
     for k in range(n):
         v = V[k]
-        # w = deg v - A v, by one dgemm into w^T (Fortran order). v is zero
-        # off the training set, so there w is -A v: the kept rows.
+        # w = deg v - A v, by one dgemm into w^T (Fortran order) or one dsymv
+        # into each row of w. v is zero off the training set, so there w is
+        # -A v: the kept rows.
         np.multiply(deg, v, out=w)
-        blas.dgemm(-1.0, A_f, v.T, 1.0, w.T, overwrite_c=1)
+        if runs <= _DSYMV_MAX_RUNS:
+            for v_r, w_r in zip(v, w):
+                blas.dsymv(-1.0, A_f, v_r, 1.0, w_r, overwrite_y=1)
+        else:
+            blas.dgemm(-1.0, A_f, v.T, 1.0, w.T, overwrite_c=1)
         w.take(flat_held, out=AV_held[k], mode="clip")  # the ids are in range
         w *= mask
         np.vecdot(v, w, out=a)

@@ -87,7 +87,7 @@ def _cmd_detect(args) -> int:
     if args.scree_out:
         scree.to_csv(args.scree_out)
     K = args.k if args.k is not None else scree.suggested_k
-    if K <= scree.singular_values.size:
+    if K <= scree.eigenvectors.shape[1]:
         # The scree's leading K eigenpairs are the embedding; no second solve.
         membership = kmeans(scree.embedding(K), K, seed=args.seed, restarts=args.restarts)
     else:

@@ -23,6 +23,19 @@ from ._io import write_csv
 _EXHAUSTIVE_PERM_MAX_K = 8
 # Dense eigendecomposition below this size; Lanczos above.
 _DENSE_EIG_MAX_N = 500
+# ARPACK's relative residual for the scree. A Ritz value's error is quadratic
+# in its residual (Kato-Temple), so the values agree with tol = 0 to about
+# 1e-14 while the bulk vectors, which no output of the scree reads, stop early.
+_SCREE_TOL = 1e-8
+# Scree values this close, relative to |theta_1|, are one multiple eigenvalue.
+# A tol = 1e-8 solve gets its values to about 1e-14, so exact copies agree
+# far closer; the 20 leading values of sampled networks were at least 1e-5
+# apart.
+_REPEATED_RTOL = 1e-10
+# A scree eigenvector is kept for the embedding when its residual
+# ||A v - theta v|| is at most this times |theta_1|: a backward error at
+# machine precision, as with tol = 0.
+_KEPT_RESIDUAL = 1e-12
 # Restarts per batched Lloyd: as many as keep a restarts x K x n array of
 # distances within 2^15 entries (256 KiB), so that a batch's temporaries stay
 # near one restart's. All ten default restarts fit at n = 1000 and K = 3.
@@ -143,16 +156,25 @@ class SpectralEmbedding:
     zero_rows: np.ndarray = field(repr=False)
 
 
-def _leading_eigenpairs(A: np.ndarray, A_f: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _solves_densely(n: int, k: int) -> bool:
+    """Whether ``_leading_eigenpairs`` takes the dense eigendecomposition for k of n pairs."""
+    return n <= _DENSE_EIG_MAX_N or k >= n - 1
+
+
+def _leading_eigenpairs(
+    A: np.ndarray, A_f: np.ndarray, k: int, tol: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of A, as ``_inputs.symmetric`` returns it, for the k largest |eigenvalues|.
 
     Returned in descending |eigenvalue| order (ties broken by descending
     eigenvalue), with a deterministic sign convention: each vector's
     largest-magnitude entry is positive. Both solvers are scipy's (README,
     "One OpenBLAS pool"); ARPACK's products read A_f, A in Fortran order.
+    ``tol`` is ARPACK's relative residual (0: machine precision); the dense
+    solver ignores it.
     """
     n = A.shape[0]
-    if n <= _DENSE_EIG_MAX_N or k >= n - 1:
+    if _solves_densely(n, k):
         # dsyevd on the lower triangle, as numpy's eigh.
         vals, vecs = eigh(A, driver="evd", check_finite=False)
     else:
@@ -163,7 +185,7 @@ def _leading_eigenpairs(A: np.ndarray, A_f: np.ndarray, k: int) -> tuple[np.ndar
         # 3k + 4. A wider basis restarts less: the k = 20 scree of a 2000-node
         # network took 380-404 products with A instead of 397-506 (README, Notes).
         ncv = min(n, max(20, 3 * k + 4))
-        vals, vecs = eigsh(op, k=k, which="LM", v0=v0, ncv=ncv)
+        vals, vecs = eigsh(op, k=k, which="LM", v0=v0, ncv=ncv, tol=tol)
     order = np.lexsort((-vals, -np.abs(vals)))[:k]
     vals = vals[order]
     vecs = vecs[:, order]
@@ -208,10 +230,11 @@ class ScreeResult:
     """Leading singular values with the bulk-edge suggestion for K.
 
     ``bulk_edge`` is the threshold the suggestion counted singular values
-    above. ``estimate_k`` also keeps the k_max eigenvectors the scree came
+    above. ``estimate_k`` also keeps the leading eigenvectors the scree came
     from in ``eigenvectors``, so ``embedding`` reuses them instead of solving
-    again. A scree built without them has ``eigenvectors=None`` and no
-    embedding.
+    again: all k_max on the dense path, and from ARPACK the longest prefix
+    whose residuals meet the backward-error bound (``_KEPT_RESIDUAL``). A
+    scree built without them has ``eigenvectors=None`` and no embedding.
     """
 
     singular_values: np.ndarray
@@ -221,13 +244,13 @@ class ScreeResult:
     bulk_edge: float | None = None
 
     def embedding(self, n_communities: int) -> SpectralEmbedding:
-        """What spectral_embed returns for K <= k_max, from the stored eigenpairs."""
+        """What spectral_embed returns for K up to the kept eigenvectors, from the stored eigenpairs."""
         if self.eigenvectors is None:
             raise ValueError("this scree holds no eigenvectors")
         K = int(n_communities)
-        k_max = self.singular_values.size
-        if not 1 <= K <= k_max:
-            raise ValueError(f"n_communities must be in [1, {k_max}], got {K}")
+        kept = self.eigenvectors.shape[1]
+        if not 1 <= K <= kept:
+            raise ValueError(f"n_communities must be in [1, {kept}], got {K}")
         return _embedding(self.singular_values[:K], self.eigenvectors[:, :K])
 
     def to_csv(self, path) -> None:
@@ -243,12 +266,26 @@ def estimate_k(adjacency, k_max: int) -> ScreeResult:
     scree values are the primary output. A count of 0 or of k_max (no
     separation within the first k_max values) yields suggestion 1 with the
     ``flat_scree`` flag.
+
+    ARPACK stops at a relative residual of ``_SCREE_TOL``, unless two of
+    the values it finds agree to ``_REPEATED_RTOL`` (a multiple eigenvalue),
+    in which case it solves again to machine precision. The eigenvectors kept
+    for ``ScreeResult.embedding`` are the leading ones whose residual is at
+    machine precision (``_converged_prefix``).
     """
     A, A_f = symmetric(adjacency)
     n = A.shape[0]
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must be in [1, {n}], got {k_max}")
-    vals, vecs = _leading_eigenpairs(A, A_f, k_max)
+    vals, vecs = _leading_eigenpairs(A, A_f, k_max, tol=_SCREE_TOL)
+    if not _solves_densely(n, k_max):
+        if _has_repeated_value(vals):
+            # Lanczos from one start vector finds the further copies of a
+            # multiple eigenvalue only as rounding grows them, and a run
+            # stopped at _SCREE_TOL may end before it has: solve to
+            # machine precision instead.
+            vals, vecs = _leading_eigenpairs(A, A_f, k_max)
+        vecs = vecs[:, : _converged_prefix(A_f, vals, vecs)]
     sigma = np.abs(vals)
     p = float(np.clip((A.sum() - np.trace(A)) / max(n * (n - 1), 1), 0.0, 1.0))
     bulk_edge = 1.1 * 2.0 * float(np.sqrt(n * p * (1.0 - p)))
@@ -261,6 +298,26 @@ def estimate_k(adjacency, k_max: int) -> ScreeResult:
         eigenvectors=vecs,
         bulk_edge=bulk_edge,
     )
+
+
+def _has_repeated_value(vals: np.ndarray) -> bool:
+    """Whether two eigenvalues agree to within _REPEATED_RTOL |theta_1|."""
+    return bool((np.diff(np.sort(vals)) <= _REPEATED_RTOL * np.abs(vals).max()).any())
+
+
+def _converged_prefix(A_f: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> int:
+    """How many leading pairs have ||A v_j - theta_j v_j|| <= _KEPT_RESIDUAL |theta_1|.
+
+    One dsymv per pair, in order, up to the first that fails. One dgemm for
+    all k = 20 pairs took 3 ms against 8 ms at n = 2000, but as the CLI's
+    first scipy dgemm it touched OpenBLAS's buffer while detection held its
+    memory, which raised `netreg detect`'s peak RSS by 1.5 MB.
+    """
+    bound = _KEPT_RESIDUAL * abs(vals[0])
+    for j, (theta, v) in enumerate(zip(vals, vecs.T)):
+        if np.linalg.norm(blas.dsymv(1.0, A_f, v, -theta, v)) > bound:
+            return j
+    return vals.size
 
 
 def _kmeanspp_centers(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -417,14 +474,13 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300):
 
 
 def _has_distinct_rows(points: np.ndarray, count: int) -> bool:
-    """Whether ``points`` has at least ``count`` distinct rows; stops at the count-th."""
+    """Whether the finite ``points`` has at least ``count`` distinct rows; stops at the count-th."""
     seen = np.zeros(points.shape[0], dtype=bool)
     for _ in range(count):
         unseen = np.flatnonzero(~seen)
         if not unseen.size:
             return False
         seen |= (points == points[unseen[0]]).all(axis=1)
-        seen[unseen[0]] = True  # a row with a nan equals no row, itself included
     return True
 
 
@@ -442,6 +498,9 @@ def kmeans(embedding, n_clusters: int, seed: int, restarts: int = 10) -> Members
     K = int(n_clusters)
     if K < 1:
         raise ValueError("n_clusters must be >= 1")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"k-means points must be finite; row {int(np.argmin(finite))} is not")
     if not _has_distinct_rows(points, K):
         raise DegenerateInputError(
             f"need at least {K} distinct rows to form {K} clusters"

@@ -269,17 +269,36 @@ def _scan_edge_list(path, n: int, A: np.ndarray) -> None:
             A[j, i] = 1.0
 
 
+# Rows of A per block of ``save_edge_list``.
+_WRITE_ROWS = 32
+
+
 def save_edge_list(adjacency, path) -> None:
-    """Write the strict upper triangle as "i j" lines (self-loops implicit)."""
+    """Write the strict upper triangle as "i j" lines (self-loops implicit).
+
+    Each id has two 8-byte records, its digits and then a blank (as i) or a
+    line break (as j), padded with zero bytes; ids < 10**7 fit, and a dense
+    A is never that large. ``_WRITE_ROWS`` rows at a time, the edges'
+    records are gathered in row-major order by one ``uint64`` take per
+    column, and the bytes that are not padding are written.
+    """
     A = validate_adjacency(adjacency)
     n = A.shape[0]
-    ids = [str(i) for i in range(n)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(n - 1):
-            cols = (np.flatnonzero(A[i, i + 1 :]) + (i + 1)).tolist()
-            if cols:
-                head = ids[i] + " "
-                fh.write(head + ("\n" + head).join([ids[j] for j in cols]) + "\n")
+    heads = np.array([f"{i} ".encode() for i in range(n)], dtype="S8").view(np.uint64)
+    tails = np.array([f"{i}\n".encode() for i in range(n)], dtype="S8").view(np.uint64)
+    # Row r + k of a block keeps columns r + 1 + c with c >= k, right of its diagonal.
+    upper = np.triu(np.ones((_WRITE_ROWS, _WRITE_ROWS), dtype=bool))
+    with open(path, "wb") as fh:
+        for r in range(0, n - 1, _WRITE_ROWS):
+            edges = A[r : r + _WRITE_ROWS, r + 1 :] != 0.0  # column r + 1 + c
+            square = edges[:, : edges.shape[0]]  # fewer columns than rows in the last block
+            square &= upper[: square.shape[0], : square.shape[1]]
+            row, col = np.divmod(np.flatnonzero(edges), n - r - 1)
+            records = np.empty((row.size, 2), dtype=np.uint64)
+            np.take(heads, row + r, out=records[:, 0])
+            np.take(tails, col + (r + 1), out=records[:, 1])
+            text = records.view(np.uint8)
+            fh.write(text[text != 0])
 
 
 def save_adjacency_csv(adjacency, path) -> None:

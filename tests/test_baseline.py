@@ -401,6 +401,42 @@ def test_cv_reads_a_in_one_lanczos_sweep_per_pass(monkeypatch, n, n_folds, passe
     assert abs(fit.beta - ref.beta) <= 1e-10 * max(abs(ref.beta), 1.0)
 
 
+def test_lanczos_dsymv_block_matches_dgemm_block(monkeypatch):
+    # Two runs alone advance by one dsymv each; carried in a block of four
+    # they advance by the block's dgemm. Only rounding differs.
+    A, x, y = connected_instance(23, n=300)
+    A_f = np.asfortranarray(A)
+    deg = A.sum(axis=1)
+    lambdas = default_lambda_grid()[::9]
+    products = []
+
+    def recording(name):
+        routine = getattr(baseline.blas, name)
+        return lambda *args, **kwargs: products.append(name) or routine(*args, **kwargs)
+
+    for name in ("dsymv", "dgemm"):
+        monkeypatch.setattr(baseline.blas, name, recording(name))
+
+    def solve(rhs):
+        products.clear()
+        runs = rhs.shape[0]
+        out = baseline._lanczos(
+            A_f, rhs, np.ones_like(rhs), np.tile(deg, (runs, 1)), np.zeros((runs, 0), np.intp), lambdas
+        )
+        return out, set(products)
+
+    (V2, _, a2, b2, norm2, steps2), used2 = solve(np.stack((x, y)))
+    (V4, _, a4, b4, norm4, steps4), used4 = solve(np.stack((x, y, x + y, x - y)))
+    assert used2 == {"dsymv"} and used4 == {"dgemm"}
+    assert np.array_equal(steps2, steps4[:2]) and np.array_equal(norm2, norm4[:2])
+    for r in range(2):
+        m = steps2[r]
+        scale = np.abs(a2[r, :m]).max()
+        np.testing.assert_allclose(a2[r, :m], a4[r, :m], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(b2[r, :m], b4[r, :m], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(V2[:m, r], V4[:m, r], rtol=0, atol=1e-12)
+
+
 def test_cv_leave_one_out_memory():
     # Leave-one-out runs the folds in passes, so the Lanczos bases stay near
     # twice the size of A (1.3 MB at n = 400) instead of growing with n_folds;

@@ -115,6 +115,16 @@ def test_kmeans_degenerate_input():
         kmeans(pts, 2, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_kmeans_rejects_non_finite_points(bad):
+    # Seeding used to fail inside rng.choice ("Probabilities contain NaN").
+    pts = np.random.default_rng(10).standard_normal((12, 2))
+    pts[7, 1] = bad
+    pts[9, 0] = bad
+    with pytest.raises(ValueError, match="^k-means points must be finite; row 7 is not$"):
+        kmeans(pts, 3, seed=0)
+
+
 def test_kmeans_deterministic():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((40, 3))
@@ -516,6 +526,61 @@ def test_lanczos_eigenpairs_match_dense_eigh(case):
             np.testing.assert_allclose(vecs[:, j], sign * ref, atol=1e-10)
 
 
+@pytest.mark.parametrize("case", list(lanczos_cases()), ids=lambda c: c[0])
+def test_scree_values_match_dense_eigh(case):
+    # ARPACK stops at _SCREE_TOL; the values keep their machine-precision
+    # agreement (the Ritz value error is quadratic in the residual).
+    _, A, k = case
+    scree = estimate_k(A, k)
+    w = np.linalg.eigh(A)[0]
+    ref = np.abs(w[np.argsort(-np.abs(w))[:k]])
+    np.testing.assert_allclose(scree.singular_values, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("case", list(lanczos_cases()), ids=lambda c: c[0])
+def test_scree_keeps_eigenvectors_at_machine_precision(case):
+    _, A, k = case
+    scree = estimate_k(A, k)
+    V = scree.eigenvectors
+    kept = V.shape[1]
+    assert 1 <= kept <= k
+    theta = np.einsum("ij,ij->j", V, A @ V)
+    residual = np.linalg.norm(A @ V - V * theta, axis=0)
+    assert (residual <= community._KEPT_RESIDUAL * scree.singular_values[0]).all()
+
+
+@pytest.mark.parametrize("case", list(lanczos_cases()), ids=lambda c: c[0])
+def test_scree_solves_again_on_a_multiple_eigenvalue(monkeypatch, case):
+    # Stopped at _SCREE_TOL, ARPACK finds one copy of the "repeated" case's
+    # fourth value and returns the fifth in its place; the two copies of the
+    # first value show the spectrum has multiple eigenvalues.
+    name, A, k = case
+    tols = []
+
+    def recording_eigsh(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return eigsh(*args, **kwargs)
+
+    eigsh = community.eigsh
+    monkeypatch.setattr(community, "eigsh", recording_eigsh)
+    estimate_k(A, k)
+    assert tols == ([community._SCREE_TOL, 0.0] if name == "repeated" else [community._SCREE_TOL])
+
+
+def test_scree_embedding_stops_at_the_kept_prefix(monkeypatch):
+    # A loose tolerance leaves bulk vectors unconverged; they are not kept.
+    n = _DENSE_EIG_MAX_N + 100
+    A = sample_sbm(assortative_params(np.random.default_rng(47), n, 3), seed=48)
+    monkeypatch.setattr(community, "_SCREE_TOL", 1e-2)
+    scree = estimate_k(A, 8)
+    kept = scree.eigenvectors.shape[1]
+    assert 1 <= kept < 8 and scree.singular_values.size == 8
+    emb, ref = scree.embedding(kept), spectral_embed(A, kept)
+    np.testing.assert_allclose(emb.vectors, ref.vectors, rtol=0, atol=1e-10)
+    with pytest.raises(ValueError, match=rf"in \[1, {kept}\], got {kept + 1}"):
+        scree.embedding(kept + 1)
+
+
 def test_lanczos_result_does_not_depend_on_memory_layout():
     n = _DENSE_EIG_MAX_N + 50
     rng = np.random.default_rng(43)
@@ -626,8 +691,15 @@ def test_scree_built_without_eigenvectors():
         scree.embedding(1)
 
 
-@pytest.mark.parametrize("k, k_max, solves", [(3, 8, 1), (3, 3, 1), (4, 3, 2)])
-def test_detect_solves_once_when_k_within_k_max(tmp_path, monkeypatch, k, k_max, solves):
+@pytest.mark.parametrize(
+    "k, k_max, tol, solves",
+    [(3, 8, None, 1), (3, 3, None, 1), (4, 3, None, 2), (3, 8, 1e-2, 1), (4, 8, 1e-2, 2)],
+)
+def test_detect_solves_once_when_k_within_k_max(tmp_path, monkeypatch, k, k_max, tol, solves):
+    # With tol, a loose _SCREE_TOL keeps 3 of the 8 scree eigenvectors, so
+    # K = 4 is beyond the kept prefix and detect solves again.
+    if tol is not None:
+        monkeypatch.setattr(community, "_SCREE_TOL", tol)
     n = _DENSE_EIG_MAX_N + 100
     rng = np.random.default_rng(47)
     params = assortative_params(rng, n, 3)

@@ -245,6 +245,18 @@ def _save_edge_list_reference(A, path):
             fh.write(f"{i} {j}\n")
 
 
+def _save_edge_list_row_loop(A, path):
+    """The writer before the array-op one: one joined string per row."""
+    n = A.shape[0]
+    ids = [str(i) for i in range(n)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for i in range(n - 1):
+            cols = (np.flatnonzero(A[i, i + 1 :]) + (i + 1)).tolist()
+            if cols:
+                head = ids[i] + " "
+                fh.write(head + ("\n" + head).join([ids[j] for j in cols]) + "\n")
+
+
 def _outcome(load, path, n):
     try:
         return "ok", load(path, n)
@@ -353,6 +365,20 @@ def test_save_edge_list_matches_per_edge_writer(tmp_path, n, seed):
         got, want = tmp_path / "got.txt", tmp_path / "want.txt"
         save_edge_list(A, got)
         _save_edge_list_reference(A, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+# Digit-width boundaries of the ids, and block boundaries of the writer's rows.
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 10, 11, 31, 32, 33, 65, 99, 100, 101, 130, 257, 999, 1000, 1001])
+def test_save_edge_list_matches_row_loop_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    for density in (0.0, 0.05, 0.5, 1.0):
+        upper = np.triu(rng.random((n, n)) < density, k=1)
+        A = (upper | upper.T).astype(np.float64)
+        np.fill_diagonal(A, 1.0)
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        save_edge_list(A, got)
+        _save_edge_list_row_loop(A, want)
         assert got.read_bytes() == want.read_bytes()
 
 
@@ -477,6 +503,12 @@ def test_graph_memory_is_a_plus_a_bounded_chunk(tmp_path, sbm_2000):
     assert _peak_above_entry(lambda: load_edge_list(path, A.shape[0])) <= a_bytes + 2 * _MIB
     csv = tmp_path / "a.csv"
     assert _peak_above_entry(lambda: save_adjacency_csv(A, csv)) <= 1 * _MIB
+
+
+def test_save_edge_list_memory_on_a_complete_graph(tmp_path):
+    # The densest block of rows, not A: no n x n temporary at any density.
+    A = np.ones((2000, 2000))
+    assert _peak_above_entry(lambda: save_edge_list(A, tmp_path / "net.txt")) <= 6 * _MIB
 
 
 def test_save_adjacency_csv_matches_per_row_writer(tmp_path):
