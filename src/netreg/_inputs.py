@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Rows per block of the 0/1 check in graph.validate_adjacency.
-_BLOCK = 32
 # Side of the square tiles the symmetry pass compares with their mirror images.
 _TILE = 128
 

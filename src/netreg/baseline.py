@@ -69,18 +69,13 @@ def fit_netcoh(adjacency, covariate, response, lam: float) -> NetcohFit:
     component) is beta = 0 with ``notes["slope_identified"]`` False. Raises
     LinAlgError when I + lam L is not positive definite (negative edge weights).
     """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    lam = float(lam)
+    if not (np.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     A, A_f, x, y = _checked(adjacency, covariate, response)
-    return _refit(A_f, A.sum(axis=1), x, y, float(lam))
-
-
-def _refit(A_f, deg, x, y, lam: float) -> NetcohFit:
-    """fit_netcoh on checked arrays; ``deg`` is A's row sums."""
     rhs = np.stack((x, y))
-    runs = _lanczos(
-        A_f, rhs, np.ones_like(rhs), np.tile(deg, (2, 1)), np.zeros((2, 0), np.intp), np.array([lam])
-    )
+    deg = np.tile(A.sum(axis=1), (2, 1))
+    runs = _lanczos(A_f, rhs, np.ones_like(rhs), deg, np.zeros((2, 0), np.intp), np.array([lam]))
     return _whole_graph_fit(runs, x, lam)
 
 
@@ -429,8 +424,12 @@ def cv_select_lambda(
     if not 2 <= n_folds <= n:
         raise ValueError(f"n_folds must be in [2, {n}], got {n_folds}")
     lambdas = default_lambda_grid() if grid is None else np.asarray(grid, dtype=np.float64)
-    if np.any(lambdas <= 0.0):
-        raise ValueError("all grid values must be positive")
+    if lambdas.ndim != 1 or not lambdas.size:
+        raise ValueError(f"grid must be a non-empty 1-d sequence, got shape {lambdas.shape}")
+    bad = ~(np.isfinite(lambdas) & (lambdas > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"grid values must be finite and positive; grid[{i}] = {lambdas[i]}")
     rng = np.random.default_rng(seed)
     folds = [np.sort(fold) for fold in np.array_split(rng.permutation(n), n_folds)]
     per_pass = max(5, n // _LANCZOS_CHUNK)

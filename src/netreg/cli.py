@@ -60,9 +60,15 @@ def _cmd_simulate_sbm(args) -> int:
     B = _load_block_probs(args.block_probs)
     K = B.shape[0]
     if args.sizes:
-        sizes = [int(s) for s in args.sizes.split(",")]
-        if len(sizes) != K:
-            raise SystemExit(f"need {K} community sizes, got {len(sizes)}")
+        bad = ValueError(
+            f"--sizes must be {K} positive integers summing to --n = {args.n}, got {args.sizes!r}"
+        )
+        try:
+            sizes = [int(s) for s in args.sizes.split(",")]
+        except ValueError:
+            raise bad from None
+        if len(sizes) != K or min(sizes) < 1 or sum(sizes) != args.n:
+            raise bad
         labels = np.repeat(np.arange(K), sizes)
     else:
         rng = np.random.default_rng(args.seed)

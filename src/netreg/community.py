@@ -189,10 +189,8 @@ def _leading_eigenpairs(
     order = np.lexsort((-vals, -np.abs(vals)))[:k]
     vals = vals[order]
     vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        pivot = np.argmax(np.abs(vecs[:, j]))
-        if vecs[pivot, j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    flip = vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])] < 0
+    vecs[:, flip] = -vecs[:, flip]
     return vals, vecs
 
 
@@ -233,20 +231,17 @@ class ScreeResult:
     above. ``estimate_k`` also keeps the leading eigenvectors the scree came
     from in ``eigenvectors``, so ``embedding`` reuses them instead of solving
     again: all k_max on the dense path, and from ARPACK the longest prefix
-    whose residuals meet the backward-error bound (``_KEPT_RESIDUAL``). A
-    scree built without them has ``eigenvectors=None`` and no embedding.
+    whose residuals meet the backward-error bound (``_KEPT_RESIDUAL``).
     """
 
     singular_values: np.ndarray
     suggested_k: int
     flat_scree: bool
-    eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
-    bulk_edge: float | None = None
+    eigenvectors: np.ndarray = field(repr=False, compare=False)
+    bulk_edge: float
 
     def embedding(self, n_communities: int) -> SpectralEmbedding:
         """What spectral_embed returns for K up to the kept eigenvectors, from the stored eigenpairs."""
-        if self.eigenvectors is None:
-            raise ValueError("this scree holds no eigenvectors")
         K = int(n_communities)
         kept = self.eigenvectors.shape[1]
         if not 1 <= K <= kept:
@@ -513,11 +508,8 @@ def kmeans(embedding, n_clusters: int, seed: int, restarts: int = 10) -> Members
     runs = [_lloyd(points, centers[i : i + batch]) for i in range(0, restarts, batch)]
     labels = np.concatenate([lab for lab, _ in runs])
     objectives = np.concatenate([obj for _, obj in runs])
-    best, best_obj = None, np.inf
-    for r, obj in enumerate(objectives.tolist()):
-        if obj < best_obj:
-            best, best_obj = r, obj
-    return Membership(labels=labels[best], n_communities=K)
+    # The first minimum: a tie goes to the lowest restart index.
+    return Membership(labels=labels[np.argmin(objectives)], n_communities=K)
 
 
 def detect_communities(
@@ -526,13 +518,6 @@ def detect_communities(
     """Spectral embedding followed by k-means."""
     emb = spectral_embed(adjacency, n_communities)
     return kmeans(emb, n_communities, seed=seed, restarts=restarts)
-
-
-def _agreement_counts(est: Membership, ref: Membership) -> np.ndarray:
-    K = est.n_communities
-    counts = np.zeros((K, K), dtype=np.int64)
-    np.add.at(counts, (est.labels, ref.labels), 1)
-    return counts
 
 
 def align_permutation(estimated: Membership, reference: Membership) -> np.ndarray:
@@ -548,14 +533,15 @@ def align_permutation(estimated: Membership, reference: Membership) -> np.ndarra
     if estimated.n_communities != reference.n_communities:
         raise ValueError("memberships must have the same number of communities")
     K = estimated.n_communities
-    counts = _agreement_counts(estimated, reference)
+    # counts[a, b]: nodes with estimated label a and reference label b.
+    counts = np.bincount(estimated.labels * K + reference.labels, minlength=K * K).reshape(K, K)
     if K <= _EXHAUSTIVE_PERM_MAX_K:
-        best_perm, best_score = None, -1
-        for perm in itertools.permutations(range(K)):
-            score = sum(counts[a, perm[a]] for a in range(K))
-            if score > best_score:
-                best_perm, best_score = perm, score
-        assignment = np.array(best_perm, dtype=np.int64)
+        rows = counts.tolist()
+        # The first best permutation in lexicographic order: max keeps the first maximum.
+        best = max(
+            itertools.permutations(range(K)), key=lambda p: sum(map(list.__getitem__, rows, p))
+        )
+        assignment = np.array(best, dtype=np.int64)
     else:
         # Imported here: scipy.optimize costs every process about 17 MB and 0.25 s to load.
         from scipy.optimize import linear_sum_assignment

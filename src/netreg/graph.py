@@ -13,11 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import _BLOCK, symmetric
+from ._inputs import symmetric
 from .community import Membership
 
-# Rows per block of ``sample_sbm``, and square tiles of ``_mirror_upper``.
+# Rows per block of ``sample_sbm``.
 _TILE = 128
+# Rows of A per block of ``validate_adjacency``'s 0/1 check and of ``save_edge_list``.
+_ROW_BLOCK = 32
 
 
 class EdgeListFormatError(ValueError):
@@ -35,8 +37,8 @@ class EdgeListFormatError(ValueError):
 def validate_adjacency(adjacency) -> np.ndarray:
     """Check symmetry, {0,1} entries, and unit diagonal; return a float64 array."""
     A, _ = symmetric(adjacency)
-    for i in range(0, A.shape[0], _BLOCK):
-        rows = A[i : i + _BLOCK]
+    for i in range(0, A.shape[0], _ROW_BLOCK):
+        rows = A[i : i + _ROW_BLOCK]
         if not ((rows == 0.0) | (rows == 1.0)).all():
             raise ValueError("adjacency entries must be 0 or 1")
     if not (A.diagonal() == 1.0).all():
@@ -131,9 +133,7 @@ def load_edge_list(path, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be positive")
     A = np.zeros((n, n), dtype=np.float64)
-    if _read_upper(path, n, A):
-        _mirror_upper(A)
-    else:
+    if not _read_edges(path, n, A):
         _scan_edge_list(path, n, A)  # the edges set so far are the file's own
     np.fill_diagonal(A, 1.0)
     return A
@@ -155,8 +155,8 @@ _LINE_BREAKS = re.compile(rb"[ \t]*[\r\n][\r\n \t]*")
 _BLANKS = re.compile(rb"[ \t]+")
 
 
-def _read_upper(path, n: int, A: np.ndarray) -> bool:
-    """Set A[min(i, j), max(i, j)] = 1 for every edge; False (A part set) defers to the scan."""
+def _read_edges(path, n: int, A: np.ndarray) -> bool:
+    """Set A[i, j] = A[j, i] = 1 for every edge; False (A part set) defers to the scan."""
     flat = A.reshape(-1)
     with open(path, "rb") as fh:
         tail = b""
@@ -170,11 +170,9 @@ def _read_upper(path, n: int, A: np.ndarray) -> bool:
             ids = _parse_chunk(text, n)
             if ids is None:
                 return False
-            i, j = ids[0::2], ids[1::2]
-            upper = np.minimum(i, j).astype(np.intp)
-            upper *= n
-            upper += np.maximum(i, j)
-            flat[upper] = 1.0
+            i, j = ids[0::2].astype(np.intp), ids[1::2].astype(np.intp)
+            flat[i * n + j] = 1.0
+            flat[j * n + i] = 1.0
             if not data:
                 return True
 
@@ -229,20 +227,6 @@ def _plain_chunk_ids(text: bytes, n: int) -> np.ndarray | None:
     return ids
 
 
-def _mirror_upper(A: np.ndarray) -> None:
-    """Copy the strict upper triangle of A, whose lower triangle is 0, onto the lower one.
-
-    Tile by tile, so no n x n temporary is made. The diagonal tiles add their
-    transpose, which doubles their diagonal; the caller sets the diagonal after.
-    """
-    n = A.shape[0]
-    for r in range(0, n, _TILE):
-        rows = slice(r, r + _TILE)
-        for c in range(r + _TILE, n, _TILE):
-            A[c : c + _TILE, rows] = A[rows, c : c + _TILE].T
-        A[rows, rows] += A[rows, rows].T
-
-
 def _scan_edge_list(path, n: int, A: np.ndarray) -> None:
     """Set A[i, j] = A[j, i] = 1 for each edge line; raise on the first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -269,16 +253,12 @@ def _scan_edge_list(path, n: int, A: np.ndarray) -> None:
             A[j, i] = 1.0
 
 
-# Rows of A per block of ``save_edge_list``.
-_WRITE_ROWS = 32
-
-
 def save_edge_list(adjacency, path) -> None:
     """Write the strict upper triangle as "i j" lines (self-loops implicit).
 
     Each id has two 8-byte records, its digits and then a blank (as i) or a
     line break (as j), padded with zero bytes; ids < 10**7 fit, and a dense
-    A is never that large. ``_WRITE_ROWS`` rows at a time, the edges'
+    A is never that large. ``_ROW_BLOCK`` rows at a time, the edges'
     records are gathered in row-major order by one ``uint64`` take per
     column, and the bytes that are not padding are written.
     """
@@ -287,10 +267,10 @@ def save_edge_list(adjacency, path) -> None:
     heads = np.array([f"{i} ".encode() for i in range(n)], dtype="S8").view(np.uint64)
     tails = np.array([f"{i}\n".encode() for i in range(n)], dtype="S8").view(np.uint64)
     # Row r + k of a block keeps columns r + 1 + c with c >= k, right of its diagonal.
-    upper = np.triu(np.ones((_WRITE_ROWS, _WRITE_ROWS), dtype=bool))
+    upper = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool))
     with open(path, "wb") as fh:
-        for r in range(0, n - 1, _WRITE_ROWS):
-            edges = A[r : r + _WRITE_ROWS, r + 1 :] != 0.0  # column r + 1 + c
+        for r in range(0, n - 1, _ROW_BLOCK):
+            edges = A[r : r + _ROW_BLOCK, r + 1 :] != 0.0  # column r + 1 + c
             square = edges[:, : edges.shape[0]]  # fewer columns than rows in the last block
             square &= upper[: square.shape[0], : square.shape[1]]
             row, col = np.divmod(np.flatnonzero(edges), n - r - 1)

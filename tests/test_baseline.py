@@ -385,11 +385,7 @@ def test_cv_reads_a_in_one_lanczos_sweep_per_pass(monkeypatch, n, n_folds, passe
         runs.append(args[1].shape[0])
         return lanczos(*args)
 
-    def no_refit(*args):
-        raise AssertionError("cv_select_lambda called _refit")
-
     monkeypatch.setattr(baseline, "_lanczos", counted)
-    monkeypatch.setattr(baseline, "_refit", no_refit)
     fit = cv_select_lambda(A, x, y, n_folds=n_folds, seed=1)
     per_pass = min(n_folds, max(5, n // 32))
     assert len(runs) == passes
@@ -568,6 +564,33 @@ def test_fit_netcoh_validation():
         fit_netcoh(A, x, y, 0.0)
     with pytest.raises(ValueError):
         fit_netcoh(A, x[:-1], y, 1.0)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+def test_fit_netcoh_rejects_a_non_finite_or_negative_lam(lam):
+    # nan used to end in "I + lam L is not positive definite at lam = nan",
+    # and inf in a RuntimeWarning inside the Lanczos pivots.
+    A, x, y = connected_instance(15)
+    with pytest.raises(ValueError, match=rf"^lam must be finite and positive, got {lam}$"):
+        fit_netcoh(A, x, y, lam)
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([0.1, float("nan"), 1.0], r"grid\[1\] = nan$"),
+        ([0.1, 1.0, float("inf")], r"grid\[2\] = inf$"),
+        ([1.0, -0.5, 0.0], r"grid\[1\] = -0.5$"),
+        ([[0.1, 1.0]], r"non-empty 1-d sequence, got shape \(1, 2\)$"),
+        ([], r"non-empty 1-d sequence, got shape \(0,\)$"),
+    ],
+)
+def test_cv_rejects_a_bad_grid(grid, message):
+    # Each used to fail elsewhere: a LinAlgError at lam = nan, a RuntimeWarning,
+    # a TypeError, or numpy's "zero-size array to reduction operation".
+    A, x, y = connected_instance(15)
+    with pytest.raises(ValueError, match=message):
+        cv_select_lambda(A, x, y, n_folds=3, grid=grid)
 
 
 def test_netcoh_json(tmp_path):

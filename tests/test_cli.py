@@ -162,6 +162,27 @@ def test_netcoh_command(workspace, capsys):
     assert "in-sample MSE" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_netcoh_rejects_a_non_finite_lam(workspace, lam):
+    argv = ["netcoh", "--network", str(workspace["net"]), "--x", str(workspace["x"])]
+    argv += ["--y", str(workspace["y"]), "--lam", lam, "--out", str(workspace["dir"] / "nc.json")]
+    with pytest.raises(SystemExit, match=f"^netreg netcoh: lam must be finite and positive, got {lam}$"):
+        main(argv)
+    assert not (workspace["dir"] / "nc.json").exists()
+
+
+@pytest.mark.parametrize("sizes", ["3,4", "3,-3,10", "0,10", "-2,12", "5.5,4.5", "a,5", "10"])
+def test_simulate_sbm_rejects_sizes_not_summing_to_n(tmp_path, sizes):
+    # "3,4" used to write a 7-node network; the others leaked numpy's or int()'s message.
+    out = tmp_path / "net.txt"
+    argv = ["simulate-sbm", "--n", "10", "--block-probs", "[[0.8,0.1],[0.1,0.8]]"]
+    argv += [f"--sizes={sizes}", "--out", str(out)]  # "=" lets argparse take "-2,12"
+    message = "^netreg simulate-sbm: --sizes must be 2 positive integers summing to --n = 10, got "
+    with pytest.raises(SystemExit, match=message + re.escape(repr(sizes)) + "$"):
+        main(argv)
+    assert not out.exists()
+
+
 def test_experiment_command(tmp_path, capsys):
     config = {
         "kind": "network_ablation",

@@ -15,7 +15,6 @@ from conftest import assortative_params, random_membership
 from netreg import (
     Membership,
     SbmParams,
-    ScreeResult,
     align_permutation,
     detect_communities,
     estimate_k,
@@ -244,6 +243,23 @@ def test_kmeans_matches_one_restart_at_a_time(points, K, seed, R):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_kmeans_tie_goes_to_the_lowest_restart(seed):
+    # Three tight, far-apart clouds: every restart finds the same partition,
+    # so the objectives tie bit for bit, but each restart numbers the clusters
+    # in the order its seeding met them. The first restart's labels must win.
+    rng = np.random.default_rng(seed)
+    points = np.repeat(10.0 * np.eye(3), 5, axis=0) + rng.normal(0.0, 0.01, (15, 3))
+    runs = []
+    for child in np.random.SeedSequence(seed).spawn(10):
+        centers = community._kmeanspp_centers(points, 3, np.random.default_rng(child))
+        labels, objectives = community._lloyd(points, centers[None])
+        runs.append((labels[0], objectives[0]))
+    assert len({obj.tobytes() for _, obj in runs}) == 1
+    assert len({labels.tobytes() for labels, _ in runs}) > 1
+    assert np.array_equal(kmeans(points, 3, seed=seed).labels, runs[0][0])
+
+
 @pytest.mark.parametrize("entries", [1, 200, 2**15])
 def test_kmeans_in_batches_matches_one_restart_at_a_time(monkeypatch, entries):
     # 40 points and K = 2 take 80 entries per restart: batches of 1, 2 and 10.
@@ -352,6 +368,30 @@ def test_align_is_globally_optimal(K):
     assert np.array_equal(Q.sum(axis=0), np.ones(K, dtype=int))
     assert np.array_equal(Q.sum(axis=1), np.ones(K, dtype=int))
     assert np.array_equal(Q.T @ Q, np.eye(K, dtype=int))
+
+
+@pytest.mark.parametrize("K", range(2, 9))
+def test_align_tie_goes_to_the_first_permutation_in_lexicographic_order(K):
+    # Agreement counts 1 + 3 [b = p(a)] + 3 [b = q(a)]: p, q and every
+    # permutation taking each a to p(a) or q(a) tie. Q must be the first of
+    # them in itertools.permutations order; err_est in raw.csv reads Q.
+    rng = np.random.default_rng(K)
+    p = rng.permutation(K)
+    q = p
+    while np.array_equal(q, p):
+        q = rng.permutation(K)
+    counts = np.ones((K, K), dtype=np.int64)
+    counts[np.arange(K), p] += 3
+    counts[np.arange(K), q] += 3
+    perms = list(itertools.permutations(range(K)))
+    scores = [int(counts[np.arange(K), perm].sum()) for perm in perms]
+    assert scores.count(max(scores)) >= 2
+    first_best = perms[scores.index(max(scores))]
+    est = np.repeat(np.repeat(np.arange(K), K), counts.ravel())
+    ref = np.repeat(np.tile(np.arange(K), K), counts.ravel())
+    order = rng.permutation(est.size)
+    Q = align_permutation(Membership(est[order], K), Membership(ref[order], K))
+    assert tuple(Q.argmax(axis=1).tolist()) == first_best
 
 
 def test_align_hungarian_path_matches_brute_force():
@@ -680,15 +720,6 @@ def test_scree_embedding_equals_spectral_embed_on_dense_path():
     for K in (0, 9):
         with pytest.raises(ValueError):
             scree.embedding(K)
-
-
-def test_scree_built_without_eigenvectors():
-    # The three fields a ScreeResult had before it kept eigenvectors still
-    # build one; only its embedding needs the vectors.
-    scree = ScreeResult(singular_values=np.array([3.0, 1.0]), suggested_k=1, flat_scree=False)
-    assert scree.eigenvectors is None
-    with pytest.raises(ValueError, match="no eigenvectors"):
-        scree.embedding(1)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,13 @@ def test_membership_and_scree_bytes(tmp_path):
     path = tmp_path / "det.csv"
     Membership(labels=np.array([1, 0, 1]), n_communities=2).to_csv(path)
     assert path.read_bytes() == b"node_id,label\n0,1\n1,0\n2,1\n"
-    scree = ScreeResult(singular_values=np.array([12.5, 3.0, 0.1]), suggested_k=1, flat_scree=False)
+    scree = ScreeResult(
+        singular_values=np.array([12.5, 3.0, 0.1]),
+        suggested_k=1,
+        flat_scree=False,
+        eigenvectors=np.eye(3),
+        bulk_edge=2.0,
+    )
     scree.to_csv(path)
     assert path.read_bytes() == b"index,sigma\n1,12.5\n2,3.0\n3,0.1\n"
 
