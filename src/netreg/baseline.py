@@ -251,9 +251,13 @@ def _shifted_coefficients(a, b, norm, steps, lambdas):
     V W kept(lam), where coef = q / (1 + lam theta) and kept = coef lam theta,
     one column per lambda. kept is formed directly, without the cancellation
     in q - coef, because the slope's denominator x^T (x_t - s_x) can be a tiny
-    part of x^T x. Returns W, coef and kept.
+    part of x^T x. For the same reason an eigenvalue within dstev's rounding,
+    steps eps max|theta|, of zero is zero (L is PSD): left as it is, a null
+    eigenvalue enters kept at rounding size and, on a tiny denominator, moves
+    the slope in its tenth digit. Returns W, coef and kept.
     """
     theta, W = _lapack("dstev", a[:steps], b[: max(steps - 1, 1)])
+    theta[np.abs(theta) <= steps * np.finfo(float).eps * np.abs(theta).max()] = 0.0
     shift = np.outer(theta, lambdas)
     coef = (W[0] * norm)[:, None] / (1.0 + shift)
     return W, coef, coef * shift

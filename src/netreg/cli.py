@@ -59,6 +59,8 @@ def _load_block_probs(source: str) -> np.ndarray:
 def _cmd_simulate_sbm(args) -> int:
     B = _load_block_probs(args.block_probs)
     K = B.shape[0]
+    if args.n < K:
+        raise ValueError(f"--n must be at least K = {K}, the number of blocks, got {args.n}")
     if args.sizes:
         bad = ValueError(
             f"--sizes must be {K} positive integers summing to --n = {args.n}, got {args.sizes!r}"

@@ -236,6 +236,9 @@ def eigh_cv_reference(A, x, y, n_folds, seed, grid):
         held = np.sort(fold)
         train = np.setdiff1d(np.arange(n), held)
         d, V = np.linalg.eigh(laplacian_literal(A[np.ix_(train, train)]))
+        # The Laplacian is PSD: eigenvalues within rounding of zero are zero,
+        # as in baseline._shifted_coefficients.
+        d[np.abs(d) <= train.size * np.finfo(float).eps * np.abs(d).max()] = 0.0
         xt, yt = x[train], y[train]
         Vx, Vy = V.T @ xt, V.T @ yt
         xTx = float(xt @ xt)
@@ -351,6 +354,19 @@ def test_cv_names_failed_lapack_routine(fitter):
 )
 def test_cv_matches_eigh_reference_on_random_graphs(n, density, weighted, self_loops, seed, data):
     n_folds = data.draw(st.integers(2, n), label="n_folds")
+    check_random_graph_cv(n, density, weighted, self_loops, seed, n_folds)
+
+
+def test_cv_slope_on_a_null_eigenvalue_at_rounding_size():
+    # A draw of the property above. A fold's slope denominator is 3.3e-5 of
+    # x^T x, and the training Laplacian's null eigenvalue came out of dstev
+    # at rounding size instead of zero: the curve was 3.2e-10 off from
+    # lambda = 3.27 on (1.9e-10 off an exact solve in 60-digit arithmetic).
+    check_random_graph_cv(4, 0.5, True, True, 57250157, 2)
+
+
+def check_random_graph_cv(n, density, weighted, self_loops, seed, n_folds):
+    """cv_select_lambda against eigh_cv_reference on one random graph, and its refit against fit_netcoh."""
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < density, k=0 if self_loops else 1).astype(float)
     if weighted:

@@ -183,6 +183,18 @@ def test_simulate_sbm_rejects_sizes_not_summing_to_n(tmp_path, sizes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "1", "-5"])
+def test_simulate_sbm_rejects_n_below_k(tmp_path, n):
+    # No seed can fill two blocks with fewer than two nodes; "0" and "1" used
+    # to blame the seed, and "-5" leaked numpy's "negative dimensions".
+    out = tmp_path / "net.txt"
+    argv = ["simulate-sbm", f"--n={n}", "--block-probs", "[[0.8,0.1],[0.1,0.8]]", "--out", str(out)]
+    message = rf"^netreg simulate-sbm: --n must be at least K = 2, the number of blocks, got {n}$"
+    with pytest.raises(SystemExit, match=message):
+        main(argv)
+    assert not out.exists()
+
+
 def test_experiment_command(tmp_path, capsys):
     config = {
         "kind": "network_ablation",

@@ -27,7 +27,7 @@ from netreg import (
 from netreg import community
 from netreg._inputs import symmetric
 from netreg.cli import main
-from netreg.community import _DENSE_EIG_MAX_N, DegenerateInputError, _leading_eigenpairs
+from netreg.community import DegenerateInputError, _leading_eigenpairs
 from netreg.graph import load_edge_list, save_adjacency_csv, save_edge_list
 from netreg.simharness import gen_instance
 
@@ -427,18 +427,63 @@ print(json.dumps(report))
 """
 
 
-def test_scipy_optimize_loads_only_for_more_than_eight_communities():
-    # Importing it cost every process about 17 MB and 0.25 s.
+def run_child(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter on this netreg; its last stdout line, as JSON."""
     env = dict(os.environ)
     src = str(Path(netreg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-c", _IMPORT_CHILD]
+    argv = [sys.executable, "-c", code]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_scipy_optimize_loads_only_for_more_than_eight_communities():
+    # Importing it cost every process about 17 MB and 0.25 s.
+    report = run_child(_IMPORT_CHILD)
     assert not report["loaded_by_import"]
     assert report["loaded_by_k9"]
     assert report["agreement"] == report["brute_force"]
+
+
+_DEGENERATE_SPECTRA_CHILD = r"""
+import hashlib, json
+
+import numpy as np
+
+from netreg import detect_communities, estimate_k, spectral_embed
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+cliques = np.kron(np.eye(3), np.ones((200, 200))) - np.eye(600)
+report = {}
+for name, A in (("eye600", np.eye(600)), ("eye50", np.eye(50)), ("cliques", cliques)):
+    for _ in range(3):
+        emb, scree = spectral_embed(A, 3), estimate_k(A, 20)
+        report.setdefault(name, []).append([
+            digest(emb.vectors, emb.singular_values, emb.zero_rows),
+            digest(detect_communities(A, 3, seed=0).labels),
+            digest(scree.singular_values, scree.eigenvectors),
+        ])
+print(json.dumps(report))
+"""
+
+
+def test_degenerate_spectra_give_the_same_bits_in_every_call_and_process():
+    # From the uniform start vector, ARPACK's Krylov space is invariant at
+    # once on these graphs, and it restarts from a random vector. Unseeded,
+    # that vector came from OS entropy: spectral_embed(np.eye(600), 3) had a
+    # new hash on every call, and the k-means labels moved with it.
+    reports = [run_child(_DEGENERATE_SPECTRA_CHILD) for _ in range(2)]
+    for name, calls in reports[0].items():
+        assert calls == [calls[0]] * 3, name
+    assert reports[1] == reports[0]
 
 
 def test_misclustering_counts():
@@ -531,8 +576,8 @@ def test_membership_csv_bad_label_names_path(tmp_path, body, n_communities, mess
 
 
 def lanczos_cases():
-    """Symmetric matrices above the dense-eigensolver size, with their k."""
-    n = _DENSE_EIG_MAX_N + 100
+    """Symmetric matrices that ARPACK solves (k < n - 1), with their k."""
+    n = 600
     rng = np.random.default_rng(41)
     yield "sbm", sample_sbm(assortative_params(rng, n, 3), seed=42), 6
     # Two copies of one dense weighted block: every eigenvalue is repeated.
@@ -609,7 +654,7 @@ def test_scree_solves_again_on_a_multiple_eigenvalue(monkeypatch, case):
 
 def test_scree_embedding_stops_at_the_kept_prefix(monkeypatch):
     # A loose tolerance leaves bulk vectors unconverged; they are not kept.
-    n = _DENSE_EIG_MAX_N + 100
+    n = 600
     A = sample_sbm(assortative_params(np.random.default_rng(47), n, 3), seed=48)
     monkeypatch.setattr(community, "_SCREE_TOL", 1e-2)
     scree = estimate_k(A, 8)
@@ -622,7 +667,7 @@ def test_scree_embedding_stops_at_the_kept_prefix(monkeypatch):
 
 
 def test_lanczos_result_does_not_depend_on_memory_layout():
-    n = _DENSE_EIG_MAX_N + 50
+    n = 550
     rng = np.random.default_rng(43)
     A = sample_sbm(assortative_params(rng, n, 3), seed=44)
     padded = np.zeros((2 * n, 2 * n))
@@ -644,8 +689,11 @@ def _numpy_leading_eigenpairs(A, k):
     return vals, vecs * np.sign(vecs[pivots, np.arange(k)])
 
 
-@pytest.mark.parametrize("n, k", [(120, 5), (300, 3), (_DENSE_EIG_MAX_N, 8), (40, 39)])
+@pytest.mark.parametrize(
+    "n, k", [(120, 5), (300, 3), (500, 8), (40, 39), (120, 119), (300, 299), (30, 30)]
+)
 def test_dense_eigenpairs_match_numpy_eigh(n, k):
+    # k >= n - 1 takes the dense eigh, a smaller k ARPACK.
     rng = np.random.default_rng(n)
     A = sample_sbm(assortative_params(rng, n, 3), seed=n + 1)
     vals, vecs = _leading_eigenpairs(*symmetric(A), k)
@@ -682,7 +730,7 @@ def _malformed(A, bad):
 @pytest.mark.parametrize(
     "bad", [np.nan, np.inf, "directed", "non_square"], ids=["nan", "inf", "directed", "non_square"]
 )
-@pytest.mark.parametrize("n", [50, _DENSE_EIG_MAX_N + 100], ids=["dense", "lanczos"])
+@pytest.mark.parametrize("n", [50, 600], ids=["dense", "lanczos"])
 @pytest.mark.parametrize("name", sorted(_EIGEN_USERS))
 def test_non_finite_adjacency_fails_before_the_eigensolver(capfd, name, n, bad):
     # A directed A used to be read through its lower triangle, and a
@@ -709,15 +757,17 @@ def test_writers_reject_malformed_adjacency(tmp_path, writer, bad):
 
 
 def test_scree_embedding_equals_spectral_embed_on_dense_path():
+    # k_max = n and K >= n - 1: the scree and spectral_embed both take eigh.
     rng = np.random.default_rng(45)
     A = sample_sbm(assortative_params(rng, 120, 3), seed=46)
-    scree = estimate_k(A, 8)
-    for K in (1, 3, 8):
+    scree = estimate_k(A, 120)
+    assert scree.eigenvectors.shape == (120, 120)
+    for K in (119, 120):
         emb, ref = scree.embedding(K), spectral_embed(A, K)
         assert np.array_equal(emb.vectors, ref.vectors)
         assert np.array_equal(emb.singular_values, ref.singular_values)
         assert np.array_equal(emb.zero_rows, ref.zero_rows)
-    for K in (0, 9):
+    for K in (0, 121):
         with pytest.raises(ValueError):
             scree.embedding(K)
 
@@ -731,7 +781,7 @@ def test_detect_solves_once_when_k_within_k_max(tmp_path, monkeypatch, k, k_max,
     # K = 4 is beyond the kept prefix and detect solves again.
     if tol is not None:
         monkeypatch.setattr(community, "_SCREE_TOL", tol)
-    n = _DENSE_EIG_MAX_N + 100
+    n = 600
     rng = np.random.default_rng(47)
     params = assortative_params(rng, n, 3)
     save_edge_list(sample_sbm(params, seed=48), tmp_path / "net.txt")
