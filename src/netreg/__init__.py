@@ -1,5 +1,14 @@
 """Neighborhood regression on networks with community-structured coefficients."""
 
+import os
+
+# OpenBLAS reads this once, when the library loads, so it is set before any
+# submodule imports numpy or scipy: an idle worker spins 2^16 cycles (tens of
+# microseconds) after a threaded call instead of OpenBLAS's default 2^28
+# (0.1-0.2 s), so it stops taking a core from the Python work between calls.
+# A value set by the user is kept. See README, "One OpenBLAS pool".
+_OPENBLAS_THREAD_TIMEOUT = os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "16")
+
 __version__ = "0.1.0"
 
 from .community import (

@@ -75,7 +75,8 @@ def fit_netcoh(adjacency, covariate, response, lam: float) -> NetcohFit:
     A, A_f, x, y = _checked(adjacency, covariate, response)
     rhs = np.stack((x, y))
     deg = np.tile(A.sum(axis=1), (2, 1))
-    runs = _lanczos(A_f, rhs, np.ones_like(rhs), deg, np.zeros((2, 0), np.intp), np.array([lam]))
+    held = np.zeros((2, 0), np.intp)
+    runs = _lanczos(A_f, rhs, np.ones_like(rhs), deg, held, np.array([lam]), np.array([0, 0]))
     return _whole_graph_fit(runs, x, lam)
 
 
@@ -122,6 +123,15 @@ def _checked(adjacency, covariate, response):
 # this, relative to the right-hand side. I + lam L_tt >= I, so the residual
 # also bounds the relative error of the run's solutions.
 _LANCZOS_RTOL = 1e-13
+# A y run's residual must be below _LANCZOS_RTOL times the slope's
+# denominator as a fraction of x^T x, x^T (x - s_x) / x^T x, taken from its x
+# run: beta = x^T (y - s_y) / x^T (x - s_x) carries the y run's error divided
+# by that denominator, while the denominator itself is a Gauss quadrature,
+# accurate to about the square of the x run's residual. The fraction is
+# floored here, so that the y run of an unidentified slope (a fraction at
+# rounding size) does not run to n; below the floor, beta loses accuracy in
+# proportion to floor / fraction.
+_SLOPE_FRACTION_FLOOR = 1e-4
 # Basis steps allocated at a time; runs on the paper's networks take 20-31.
 _LANCZOS_CHUNK = 32
 # Blocks of at most this many runs advance by one dsymv per run, not a dgemm:
@@ -129,7 +139,7 @@ _LANCZOS_CHUNK = 32
 _DSYMV_MAX_RUNS = 2
 
 
-def _lanczos(A_f, rhs, mask, deg, held, lambdas):
+def _lanczos(A_f, rhs, mask, deg, held, lambdas, x_run):
     """Lanczos for many training Laplacians at once, one product with A per step.
 
     Run r solves (I + lam L_r) s = rhs[r] for every grid lambda. For a v that
@@ -144,10 +154,15 @@ def _lanczos(A_f, rhs, mask, deg, held, lambdas):
     For each lambda the LDL^T pivots of I + lam T_m, d_1 = 1 + lam a_1 and
     d_k = 1 + lam a_k - (lam b_{k-1})^2 / d_{k-1}, and the relative Galerkin
     residual lam b_m prod_{k<m} lam b_k / prod_{k<=m} d_k update in O(1) per
-    step. A run stops when that residual is below _LANCZOS_RTOL for every
-    lambda, when b_m vanishes against |L_r v_m| (the Krylov space is
-    invariant, so the answer is exact) or when the basis spans the training
-    set. A pivot <= 0 means I + lam L_r is not positive definite.
+    step, and so does rhs^T (rhs - s) / rhs^T rhs = 1 - e_1^T (I + lam T_m)^-1 e_1
+    = 1 - sum_k z_k^2 / d_k, where z_1 = 1 and z_{k+1} = -(lam b_k / d_k) z_k.
+    Run r is the y of a slope whose x is run ``x_run[r]`` where that differs
+    from r. A run stops when that residual is below _LANCZOS_RTOL for every
+    lambda, for a y run times its x run's fraction (at least
+    _SLOPE_FRACTION_FLOOR) and only once that run has stopped, so that the
+    fraction is final; or when b_m vanishes against |L_r v_m| (the Krylov
+    space is invariant, so the answer is exact); or when the basis spans the
+    training set. A pivot <= 0 means I + lam L_r is not positive definite.
 
     Returns the bases (steps x runs x n), the kept rows of -A V (steps x runs x
     held), the tridiagonals' diagonals a and off-diagonals b (runs x steps),
@@ -175,6 +190,10 @@ def _lanczos(A_f, rhs, mask, deg, held, lambdas):
     b_prev, a = three_term
     pivot = np.ones((runs, lambdas.size))
     gain = np.ones((runs, lambdas.size))
+    fraction = np.ones((runs, lambdas.size))
+    y_run = x_run != np.arange(runs)
+    # The residual each run must reach, relative to its rhs.
+    tol = np.full((runs, lambdas.size), _LANCZOS_RTOL)
     coupling = np.empty_like(pivot)
     shrink = np.empty_like(pivot)
     for k in range(n):
@@ -222,12 +241,18 @@ def _lanczos(A_f, rhs, mask, deg, held, lambdas):
         if k:
             gain *= coupling
         gain /= pivot
+        # z_k^2 / d_k = gain_k^2 d_k, as gain_k = |z_k| / d_k.
+        fraction -= gain * gain * pivot
+        tol[y_run] = _LANCZOS_RTOL * np.maximum(fraction[x_run[y_run]], _SLOPE_FRACTION_FLOOR)
         np.multiply(lambdas, b[:, None], out=shrink)
         shrink *= gain
         # |L_r v| = |(b_prev, a, b)|, as v_prev, v and the next vector are orthonormal.
         invariant = b <= 1e-13 * np.hypot(np.hypot(b_prev, a), b)
         active = steps == 0
-        steps[active & ((shrink.max(axis=1) <= _LANCZOS_RTOL) | invariant | (k + 1 >= size))] = k + 1
+        ended = invariant | (k + 1 >= size)
+        converged = (shrink <= tol).all(axis=1)
+        x_done = ~active | converged | ended
+        steps[active & ((converged & x_done[x_run]) | ended)] = k + 1
         if steps.all():
             break
         active = steps == 0
@@ -349,7 +374,8 @@ def _cv_pass(A_f, x, y, folds, lambdas, deg=None):
     held_rows = np.zeros((cols.size, max(h.size for h in folds)), dtype=np.intp)
     for f, held in enumerate(folds):
         held_rows[f, : held.size] = held_rows[nf + f, : held.size] = held
-    runs = _lanczos(A_f, rhs, mask, deg_t.T[cols], held_rows, lambdas)
+    x_run = np.concatenate((np.tile(np.arange(nf), 2), np.full(2 * whole, 2 * nf)))
+    runs = _lanczos(A_f, rhs, mask, deg_t.T[cols], held_rows, lambdas, x_run)
     V, AV_held, a_diag, b_off, norm, steps = runs
     top = steps.max()
     # x^T V of every run (zero past a run's last step).

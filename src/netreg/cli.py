@@ -76,7 +76,7 @@ def _cmd_simulate_sbm(args) -> int:
         rng = np.random.default_rng(args.seed)
         labels = rng.integers(0, K, size=args.n)
         if np.unique(labels).size != K:
-            raise SystemExit("sampled an empty community; pass --sizes or change --seed")
+            raise ValueError("sampled an empty community; pass --sizes or change --seed")
     membership = Membership(labels=labels, n_communities=K)
     A = sample_sbm(SbmParams(membership=membership, block_probs=B), seed=args.seed)
     save_edge_list(A, args.out)

@@ -322,19 +322,40 @@ def _converged_prefix(A_f: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> in
     return vals.size
 
 
-def _kmeanspp_centers(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((K, points.shape[1]), dtype=np.float64)
-    centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+def _kmeanspp_centers(points: np.ndarray, K: int, rngs) -> np.ndarray:
+    """k-means++ start centers (R x K x d), restart r drawn from ``rngs[r]``.
+
+    Each restart's draws are those of ``rng.choice(n, p=d2 / d2.sum())``,
+    numpy's inverse CDF on one random number, without its checks of p;
+    where every d2 is zero the draw is ``rng.integers(n)``. The squared
+    distances of every restart are updated together, summed over dimensions
+    in numpy's order (``_pairwise_sum``).
+    """
+    n, d = points.shape
+    cols = np.ascontiguousarray(points.T)
+    idx = np.array([rng.integers(n) for rng in rngs])
+    centers = np.empty((idx.size, K, d))
+    centers[:, 0] = points[idx]
+
+    def squared_distance(c):  # R x n: every point to each restart's center c
+        def term(j):
+            diff = cols[j] - centers[:, c, j, None]
+            return np.multiply(diff, diff, out=diff)
+
+        return _pairwise_sum(term, d)
+
+    d2 = squared_distance(0)
     for c in range(1, K):
-        total = d2.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[c] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+        total = d2.sum(axis=1)
+        if not np.isfinite(total).all():
+            raise ValueError("k-means points are too far apart: their squared distances overflow")
+        drawn = total > 0.0
+        cdf = np.cumsum(d2 / np.where(drawn, total, 1.0)[:, None], axis=1)
+        cdf /= np.where(drawn, cdf[:, -1], 1.0)[:, None]
+        for r, rng in enumerate(rngs):
+            idx[r] = cdf[r].searchsorted(rng.random(), side="right") if drawn[r] else rng.integers(n)
+        centers[:, c] = points[idx]
+        np.minimum(d2, squared_distance(c), out=d2)
     return centers
 
 
@@ -509,8 +530,8 @@ def kmeans(embedding, n_clusters: int, seed: int, restarts: int = 10) -> Members
         )
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-    centers = np.stack([_kmeanspp_centers(points, K, np.random.default_rng(s)) for s in seeds])
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
+    centers = _kmeanspp_centers(points, K, rngs)
     batch = max(1, _LLOYD_BATCH_ENTRIES // (K * points.shape[0]))
     runs = [_lloyd(points, centers[i : i + batch]) for i in range(0, restarts, batch)]
     labels = np.concatenate([lab for lab, _ in runs])

@@ -403,7 +403,7 @@ def _blas_build(module) -> dict | None:
 
 def run_experiment(config: ExperimentConfig, output_dir=None) -> tuple:
     """Run an experiment and write raw.csv, summary.csv, timings.csv, meta.json."""
-    from . import __version__
+    from . import _OPENBLAS_THREAD_TIMEOUT, __version__
 
     if output_dir is None:
         output_dir = config.output
@@ -422,6 +422,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> tuple:
         "versions": {"netreg": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
         # numpy and scipy each load their own BLAS, so both are recorded.
         "blas": {"numpy": _blas_build(np), "scipy": _blas_build(scipy)},
+        # OpenBLAS's idle spin, as the environment gave it when netreg was imported.
+        "openblas_thread_timeout": _OPENBLAS_THREAD_TIMEOUT,
     }
     with open(os.path.join(output_dir, "meta.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -365,14 +365,45 @@ def test_cv_slope_on_a_null_eigenvalue_at_rounding_size():
     check_random_graph_cv(4, 0.5, True, True, 57250157, 2)
 
 
-def check_random_graph_cv(n, density, weighted, self_loops, seed, n_folds):
-    """cv_select_lambda against eigh_cv_reference on one random graph, and its refit against fit_netcoh."""
+def _random_graph(n, density, weighted, self_loops, seed):
+    """A, x and y of one draw of test_cv_matches_eigh_reference_on_random_graphs."""
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < density, k=0 if self_loops else 1).astype(float)
     if weighted:
         upper *= rng.uniform(0.1, 5.0, size=(n, n))
     A = upper + np.triu(upper, k=1).T
-    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    return A, rng.standard_normal(n), rng.standard_normal(n)
+
+
+def test_cv_refit_on_a_small_slope_denominator():
+    # A draw of the property above. At the chosen lambda = 0.001 the slope's
+    # denominator is 6.4e-4 of x^T x and its numerator 1.6e-4 of |x| |y|, so
+    # the y run, stopped at 1e-13 of |y|, left fit_netcoh's alpha 1.4e-10 off
+    # the CV's refit (whose runs carry the whole grid).
+    check_random_graph_cv(27, 0.05, True, False, 20, 3)
+
+
+def test_fit_netcoh_on_a_small_slope_denominator_matches_50_digits():
+    mpmath = pytest.importorskip("mpmath")
+    A, x, y = _random_graph(27, 0.05, True, False, 20)
+    lam = 1e-3
+    fit = fit_netcoh(A, x, y, lam)
+    with mpmath.workdps(50):
+        M = mpmath.eye(27) + mpmath.mpf(lam) * mpmath.matrix(laplacian(A).tolist())
+        X, Y = mpmath.matrix(x.tolist()), mpmath.matrix(y.tolist())
+        s_x, s_y = mpmath.lu_solve(M, X), mpmath.lu_solve(M, Y)
+        denom = (X.T * (X - s_x))[0]
+        beta = (X.T * (Y - s_y))[0] / denom
+        alpha = np.array([float(v) for v in s_y - beta * s_x])
+        assert float(denom / (X.T * X)[0]) < 1e-3
+        beta = float(beta)
+    np.testing.assert_allclose(fit.alpha, alpha, rtol=0, atol=2e-13)
+    assert abs(fit.beta - beta) <= 2e-13 * abs(beta)
+
+
+def check_random_graph_cv(n, density, weighted, self_loops, seed, n_folds):
+    """cv_select_lambda against eigh_cv_reference on one random graph, and its refit against fit_netcoh."""
+    A, x, y = _random_graph(n, density, weighted, self_loops, seed)
     grid = default_lambda_grid()
     ref_errors, ref_lam, ref_ungrounded = eigh_cv_reference(A, x, y, n_folds, seed, grid)
     fit = cv_select_lambda(A, x, y, n_folds=n_folds, seed=seed)
@@ -432,9 +463,8 @@ def test_lanczos_dsymv_block_matches_dgemm_block(monkeypatch):
     def solve(rhs):
         products.clear()
         runs = rhs.shape[0]
-        out = baseline._lanczos(
-            A_f, rhs, np.ones_like(rhs), np.tile(deg, (runs, 1)), np.zeros((runs, 0), np.intp), lambdas
-        )
+        held, no_slope = np.zeros((runs, 0), np.intp), np.arange(runs)
+        out = baseline._lanczos(A_f, rhs, np.ones_like(rhs), np.tile(deg, (runs, 1)), held, lambdas, no_slope)
         return out, set(products)
 
     (V2, _, a2, b2, norm2, steps2), used2 = solve(np.stack((x, y)))

@@ -195,6 +195,16 @@ def test_simulate_sbm_rejects_n_below_k(tmp_path, n):
     assert not out.exists()
 
 
+def test_simulate_sbm_names_itself_on_an_empty_block(tmp_path):
+    # Seed 0 draws both of two nodes into one block; the line used to lack the prefix.
+    out = tmp_path / "net.txt"
+    argv = ["simulate-sbm", "--n", "2", "--block-probs", "[[0.5,0.1],[0.1,0.5]]", "--seed", "0"]
+    message = "^netreg simulate-sbm: sampled an empty community; pass --sizes or change --seed$"
+    with pytest.raises(SystemExit, match=message):
+        main([*argv, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_experiment_command(tmp_path, capsys):
     config = {
         "kind": "network_ablation",

@@ -165,12 +165,30 @@ def _lloyd_one_restart(points, centers, max_iter=300):
     return labels, prev_obj
 
 
+# The per-restart k-means++ seeding that community._kmeanspp_centers batches,
+# kept as the oracle for its random stream and its bits.
+def _kmeanspp_one_restart(points, K, rng):
+    n = points.shape[0]
+    centers = np.empty((K, points.shape[1]), dtype=np.float64)
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, K):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[c] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
 def _kmeans_one_restart_at_a_time(points, K, seed, restarts=10):
     if np.unique(points, axis=0).shape[0] < K:
         raise DegenerateInputError(f"need at least {K} distinct rows to form {K} clusters")
     best_labels, best_obj = None, np.inf
     for child in np.random.SeedSequence(seed).spawn(restarts):
-        centers = community._kmeanspp_centers(points, K, np.random.default_rng(child))
+        centers = _kmeanspp_one_restart(points, K, np.random.default_rng(child))
         labels, obj = _lloyd_one_restart(points, centers.copy())
         if obj < best_obj:
             best_labels, best_obj = labels, obj
@@ -232,6 +250,37 @@ def test_batched_lloyd_on_long_clusters(d):
         assert objectives[r].tobytes() == np.float64(want_obj).tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(points=_points(), K=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), R=st.integers(1, 5))
+def test_kmeanspp_centers_match_one_restart_at_a_time(points, K, seed, R):
+    # Repeated rows make all-zero distances, which take rng.integers instead.
+    children = np.random.SeedSequence(seed).spawn(R)
+    got = community._kmeanspp_centers(points, K, [np.random.default_rng(c) for c in children])
+    rngs = [np.random.default_rng(c) for c in children]
+    want = np.stack([_kmeanspp_one_restart(points, K, rng) for rng in rngs])
+    assert got.tobytes() == want.tobytes()
+    # Both consumed the same stream: the generators are at the same state.
+    after = [np.random.default_rng(c) for c in children]
+    community._kmeanspp_centers(points, K, after)
+    assert [g.bit_generator.state for g in after] == [g.bit_generator.state for g in rngs]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kmeanspp_centers_on_embeddings_match_one_restart_at_a_time(seed):
+    K = 3 + seed % 3
+    points = spectral_embed(gen_instance(1000, K, 0.5, seed=seed).adjacency, K).vectors
+    children = np.random.SeedSequence(seed).spawn(10)
+    got = community._kmeanspp_centers(points, K, [np.random.default_rng(c) for c in children])
+    want = [_kmeanspp_one_restart(points, K, np.random.default_rng(c)) for c in children]
+    assert got.tobytes() == np.stack(want).tobytes()
+
+
+def test_kmeanspp_centers_reject_overflowing_distances():
+    points = np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]])
+    with pytest.raises(ValueError, match="squared distances overflow"), np.errstate(over="ignore"):
+        kmeans(points, 2, seed=0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(points=_points(), K=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), R=st.integers(1, 5))
 def test_kmeans_matches_one_restart_at_a_time(points, K, seed, R):
@@ -252,7 +301,7 @@ def test_kmeans_tie_goes_to_the_lowest_restart(seed):
     points = np.repeat(10.0 * np.eye(3), 5, axis=0) + rng.normal(0.0, 0.01, (15, 3))
     runs = []
     for child in np.random.SeedSequence(seed).spawn(10):
-        centers = community._kmeanspp_centers(points, 3, np.random.default_rng(child))
+        centers = _kmeanspp_one_restart(points, 3, np.random.default_rng(child))
         labels, objectives = community._lloyd(points, centers[None])
         runs.append((labels[0], objectives[0]))
     assert len({obj.tobytes() for _, obj in runs}) == 1

@@ -322,6 +322,7 @@ def test_meta_and_timings_written(tmp_path):
         assert meta["blas"][module.__name__] == expected
         if expected is not None:  # reported from numpy 1.25 and scipy 1.11 on
             assert expected["name"] and expected["version"]
+    assert meta["openblas_thread_timeout"] == netreg._OPENBLAS_THREAD_TIMEOUT
     timings = (tmp_path / "out" / "timings.csv").read_text().splitlines()
     assert timings[0].startswith("experiment,")
     assert len(timings) == 3  # header + 2 rows
