@@ -19,14 +19,12 @@ from .community import (
     detect_communities,
     estimate_k,
     kmeans,
-    misclustering_count,
     perturb_membership,
     spectral_embed,
 )
 from .graph import (
     SbmParams,
     load_edge_list,
-    network_sparsity,
     sample_sbm,
     save_adjacency_csv,
     save_edge_list,
@@ -52,7 +50,6 @@ from .inference import (
     TestTable,
     community_covariance,
     hc_covariance,
-    hessian,
     homoskedastic_covariance,
     wald_table,
 )
@@ -82,12 +79,10 @@ __all__ = [
     "detect_communities",
     "estimate_k",
     "kmeans",
-    "misclustering_count",
     "perturb_membership",
     "spectral_embed",
     "SbmParams",
     "load_edge_list",
-    "network_sparsity",
     "sample_sbm",
     "save_adjacency_csv",
     "save_edge_list",
@@ -109,7 +104,6 @@ __all__ = [
     "TestTable",
     "community_covariance",
     "hc_covariance",
-    "hessian",
     "homoskedastic_covariance",
     "wald_table",
     "NetcohFit",

@@ -14,16 +14,17 @@ import numpy as np
 _TILE = 128
 
 
-def reject_non_finite_rows(M: np.ndarray, of: str = "") -> None:
+def reject_non_finite_rows(M: np.ndarray, of: str = "", name: str = "adjacency") -> None:
     """Raise ValueError naming the first row of M with a non-finite entry.
 
-    M is an adjacency matrix, or a product of one named by ``of`` (e.g.
-    " of its aggregate"), whose non-finite rows are those of A.
+    M is the matrix ``name``: an adjacency matrix by default, or a product of
+    one named by ``of`` (e.g. " of its aggregate"), whose non-finite rows are
+    those of A.
     """
     finite = np.isfinite(M)
     if not finite.all():
         row = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise ValueError(f"adjacency must be finite; row {row}{of} is not")
+        raise ValueError(f"{name} must be finite; row {row}{of} is not")
 
 
 def square(adjacency, n: int | None = None) -> np.ndarray:

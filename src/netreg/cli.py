@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from ._io import write_json
-from .baseline import cv_select_lambda, fit_netcoh
+from .baseline import cv_select_lambda, fit_netcoh, predict_netcoh
 from .community import Membership, detect_communities, estimate_k, kmeans
 from .graph import (
     SbmParams,
@@ -48,12 +48,24 @@ def _read_column_csv(path) -> np.ndarray:
 
 
 def _load_block_probs(source: str) -> np.ndarray:
-    """Inline JSON (e.g. '[[0.8,0.2],[0.2,0.8]]') or a path to a JSON file."""
+    """Inline JSON (e.g. '[[0.8,0.2],[0.2,0.8]]') or a path to a JSON file.
+
+    The value must be a non-empty K x K matrix of numbers (JSON booleans are not).
+    """
+    # Integers are read as floats, so a huge one is inf (out of range), not an OverflowError.
     try:
-        return np.asarray(json.loads(source), dtype=np.float64)
+        value = json.loads(source, parse_int=float)
     except json.JSONDecodeError:
         with open(source, "r", encoding="utf-8") as fh:
-            return np.asarray(json.load(fh), dtype=np.float64)
+            value = json.load(fh, parse_int=float)
+    B = np.array(value, dtype=object)  # any JSON value has a shape this way, ragged lists too
+    if B.ndim != 2 or B.shape[0] != B.shape[1] or not B.size or any(
+        type(v) is not float for v in B.flat
+    ):
+        raise ValueError(
+            f"--block-probs must be a non-empty K x K matrix of numbers, got shape {B.shape}"
+        )
+    return B.astype(np.float64)
 
 
 def _cmd_simulate_sbm(args) -> int:
@@ -165,7 +177,7 @@ def _cmd_netcoh(args) -> int:
     else:
         fit = cv_select_lambda(A, x, y, n_folds=args.folds, seed=args.seed)
     fit.save_json(args.out)
-    err = prediction_error(fit.alpha + fit.beta * x, y)
+    err = prediction_error(predict_netcoh(fit, x), y)
     print(f"lambda = {fit.lam:.6g}, slope = {fit.beta:.6g}, in-sample MSE = {err:.6g}")
     return 0
 

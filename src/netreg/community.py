@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import blas, eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from ._inputs import symmetric
+from ._inputs import reject_non_finite_rows, symmetric
 from ._io import write_csv
 
 # Brute force over K! permutations up to this K; Hungarian above it.
@@ -80,15 +80,6 @@ class Membership:
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_communities)
-
-    @classmethod
-    def from_onehot(cls, Z) -> "Membership":
-        Z = np.asarray(Z, dtype=np.float64)
-        if Z.ndim != 2:
-            raise ValueError("one-hot matrix must be 2-d")
-        if not np.all((Z == 0.0) | (Z == 1.0)) or not np.all(Z.sum(axis=1) == 1.0):
-            raise ValueError("rows must contain exactly one 1")
-        return cls(labels=Z.argmax(axis=1), n_communities=Z.shape[1])
 
     def to_csv(self, path) -> None:
         write_csv(path, ["node_id", "label"], enumerate(self.labels.tolist()))
@@ -521,9 +512,7 @@ def kmeans(embedding, n_clusters: int, seed: int, restarts: int = 10) -> Members
     K = int(n_clusters)
     if K < 1:
         raise ValueError("n_clusters must be >= 1")
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"k-means points must be finite; row {int(np.argmin(finite))} is not")
+    reject_non_finite_rows(points, name="k-means points")
     if not _has_distinct_rows(points, K):
         raise DegenerateInputError(
             f"need at least {K} distinct rows to form {K} clusters"
@@ -580,13 +569,6 @@ def align_permutation(estimated: Membership, reference: Membership) -> np.ndarra
     Q = np.zeros((K, K), dtype=np.int64)
     Q[np.arange(K), assignment] = 1
     return Q
-
-
-def misclustering_count(estimated: Membership, reference: Membership) -> int:
-    """Nodes whose label differs from the reference after optimal alignment."""
-    Q = align_permutation(estimated, reference)
-    mapped = Q.argmax(axis=1)[estimated.labels]
-    return int(np.sum(mapped != reference.labels))
 
 
 def perturb_membership(membership: Membership, n_flips: int, seed: int) -> Membership:

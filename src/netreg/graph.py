@@ -58,7 +58,7 @@ class SbmParams:
         K = self.membership.n_communities
         if B.shape != (K, K):
             raise ValueError(f"block_probs must be {K}x{K}, got {B.shape}")
-        if np.any(B < 0.0) or np.any(B > 1.0):
+        if not ((B >= 0.0) & (B <= 1.0)).all():  # NaN is outside too
             raise ValueError("block_probs entries must lie in [0, 1]")
         if not np.array_equal(B, B.T):
             raise ValueError("block_probs must be symmetric")
@@ -102,14 +102,6 @@ def sample_sbm(params: SbmParams, seed: int) -> np.ndarray:
         A[r + b :, r : r + b] = np.ascontiguousarray(rows[:, b:].T)
     np.fill_diagonal(A, 1.0)
     return A
-
-
-def network_sparsity(block_probs) -> float:
-    """Maximum entry of the block-probability matrix."""
-    B = np.asarray(block_probs, dtype=np.float64)
-    if np.any(B < 0.0) or np.any(B > 1.0):
-        raise ValueError("block_probs entries must lie in [0, 1]")
-    return float(B.max())
 
 
 def load_edge_list(path, n: int) -> np.ndarray:

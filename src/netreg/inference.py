@@ -28,12 +28,6 @@ class CovarianceEstimate:
     variant: str
 
 
-def hessian(design) -> np.ndarray:
-    """Gram matrix of a design, M^T M."""
-    M = np.asarray(design, dtype=np.float64)
-    return M.T @ M
-
-
 def _inverse_psd(H: np.ndarray, scale_rows: int) -> np.ndarray:
     H_inv, singular = pinv_psd(H, scale_rows)
     if singular:
@@ -114,7 +108,7 @@ def community_covariance(
     resid = fit.residuals[mask]
     if variant == "homoskedastic":
         return homoskedastic_covariance(
-            hessian(rows), resid, dof_adjust=dof_adjust, community=community
+            rows.T @ rows, resid, dof_adjust=dof_adjust, community=community
         )
     return hc_covariance(rows, resid, variant=variant, community=community)
 

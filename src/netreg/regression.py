@@ -153,10 +153,7 @@ def _aggregates(adjacency, x, membership: Membership, aggregates) -> np.ndarray:
     shape = (membership.n, membership.n_communities)
     if N.shape != shape:
         raise ValueError(f"aggregates must be {shape[0]}x{shape[1]}, got {N.shape}")
-    finite = np.isfinite(N)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise ValueError(f"aggregates must be finite; row {row} is not")
+    reject_non_finite_rows(N, name="aggregates")
     return N
 
 

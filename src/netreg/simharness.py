@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -146,6 +147,13 @@ def default_alpha_grid(n: int) -> list:
     return sorted(set(grid))
 
 
+def _ints(values, low: int) -> bool:
+    """Whether ``values`` is a list of ints (not bools) of at least ``low``."""
+    return isinstance(values, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) and v >= low for v in values
+    )
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment run."""
@@ -160,16 +168,27 @@ class ExperimentConfig:
     alpha_grid: list | None = None
     base_seed: int = 0
     oracle_membership: bool = False
-    kmeans_restarts: int = 10
-    netcoh_folds: int = 5
     output: str | None = None
 
     def __post_init__(self):
         if self.kind not in _KIND_ESTIMATORS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if list(self.n_grid) != sorted(self.n_grid):
+        noise = self.noise_sd
+        real = isinstance(noise, (int, float)) and not isinstance(noise, bool)
+        grid = "a non-empty list of positive ints"
+        rules = [
+            ("replicates", "a positive int", _ints([self.replicates], 1)),
+            ("n_grid", grid, _ints(self.n_grid, 1) and len(self.n_grid) > 0),
+            ("k_grid", grid, _ints(self.k_grid, 1) and len(self.k_grid) > 0),
+            ("alpha_grid", "a list of non-negative ints", self.alpha_grid is None
+             or _ints(self.alpha_grid, 0)),
+            ("noise_sd", "a finite non-negative real", real and math.isfinite(noise) and noise >= 0),
+            ("base_seed", "a non-negative int", _ints([self.base_seed], 0)),
+        ]
+        for name, rule, ok in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if self.n_grid != sorted(self.n_grid):
             raise ValueError("n_grid must be ascending")
         valid = _KIND_ESTIMATORS[self.kind]
         if self.estimators is None:
@@ -274,12 +293,12 @@ def _ablation_aggregates(estimator: str, x: np.ndarray, membership: Membership) 
     return np.tile(np.bincount(membership.labels, weights=x, minlength=K), (n, 1))
 
 
-def _errors(config, estimator, inst, Z, Q, coords) -> tuple:
+def _errors(estimator, inst, Z, Q, coords) -> tuple:
     """(err_est, err_pred) of one estimator fitted on one replicate."""
     A, x, y = inst.adjacency, inst.covariate, inst.response
     if estimator == "netcoh":
         seed = derive_seed(*coords, _TAG_NETCOH)
-        nc = cv_select_lambda(A, x, y, n_folds=config.netcoh_folds, seed=seed)
+        nc = cv_select_lambda(A, x, y, seed=seed)
         return None, prediction_error(predict_netcoh(nc, x), y)
     if estimator in ("identity_net", "complete_net"):
         fit = fit_full(None, x, y, Z, aggregates=_ablation_aggregates(estimator, x, Z))
@@ -309,7 +328,7 @@ def run_rows(config: ExperimentConfig) -> list:
                 Z = inst.membership
                 if not config.oracle_membership:
                     seed = derive_seed(*coords, _TAG_DETECT)
-                    Z = detect_communities(inst.adjacency, K, seed, config.kmeans_restarts)
+                    Z = detect_communities(inst.adjacency, K, seed)
                 Q = align_permutation(Z, inst.membership)
         except Exception as exc:  # the replicate's rows record it, the run continues
             prepared = type(exc).__name__
@@ -327,7 +346,7 @@ def run_rows(config: ExperimentConfig) -> list:
                             seed = derive_seed(*coords, alpha_n, _TAG_PERTURB)
                             Z = perturb_membership(inst.membership, alpha_n, seed)
                             Q = align_permutation(Z, inst.membership)
-                        err_est, err_pred = _errors(config, estimator, inst, Z, Q, coords)
+                        err_est, err_pred = _errors(estimator, inst, Z, Q, coords)
                     except Exception as exc:  # failures recorded per row, run continues
                         status = type(exc).__name__
                 rows.append(
@@ -451,7 +470,6 @@ def eigenvalue_lower_bound(block_probs, membership: Membership, covariate, commu
 def run_theory_checks(
     n: int = 500,
     n_communities: int = 2,
-    block_probs=None,
     noise_sd: float = 0.5,
     n_eigen_draws: int = 500,
     n_noise_reps: int = 2000,
@@ -462,17 +480,18 @@ def run_theory_checks(
     z_limit: float = 3.0,
 ) -> dict:
     """Empirical checks of the Hessian eigenvalue bound, estimator
-    unbiasedness, and confidence-interval coverage on a balanced design.
+    unbiasedness, and confidence-interval coverage on a balanced design:
+    K blocks of n / K nodes, edge probability 0.8 within a block and 0.2
+    between blocks.
 
     Returns a JSON-ready report with one pass flag per check.
     """
     code = _EXPERIMENT_CODES["theory"]
     K = int(n_communities)
-    if n % K != 0:
-        raise ValueError("theory checks use an exactly balanced design; need K | n")
-    B = np.array([[0.8, 0.2], [0.2, 0.8]]) if block_probs is None else np.asarray(block_probs, float)
-    if B.shape != (K, K):
-        raise ValueError(f"block_probs must be {K}x{K}")
+    if K < 1 or n % K != 0:
+        raise ValueError("theory checks use an exactly balanced design; need K >= 1 and K | n")
+    B = np.full((K, K), 0.2)
+    np.fill_diagonal(B, 0.8)
     labels = np.repeat(np.arange(K), n // K)
     membership = Membership(labels=labels, n_communities=K)
     params = SbmParams(membership=membership, block_probs=B)

@@ -195,6 +195,31 @@ def test_simulate_sbm_rejects_n_below_k(tmp_path, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "block_probs, message",
+    [
+        ("0.5", "--block-probs must be a non-empty K x K matrix of numbers, got shape ()"),
+        ("{}", "--block-probs must be a non-empty K x K matrix of numbers, got shape ()"),
+        ("[]", "--block-probs must be a non-empty K x K matrix of numbers, got shape (0,)"),
+        ("[[NaN]]", "block_probs entries must lie in [0, 1]"),
+        ("[[1" + "0" * 400 + "]]", "block_probs entries must lie in [0, 1]"),
+    ],
+    ids=["scalar", "object", "empty", "nan", "huge_int"],
+)
+def test_simulate_sbm_rejects_a_bad_block_probs_in_one_line(tmp_path, block_probs, message):
+    # These used to end in an IndexError, a TypeError or an OverflowError
+    # traceback, numpy's "high <= 0", or "block_probs must be symmetric" for a NaN.
+    env = dict(os.environ)
+    src = str(Path(netreg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "netreg.cli", "simulate-sbm", "--n", "10"]
+    argv += ["--block-probs", block_probs, "--out", "net.txt"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines() == [f"netreg simulate-sbm: {message}"]
+    assert not (tmp_path / "net.txt").exists()
+
+
 def test_simulate_sbm_names_itself_on_an_empty_block(tmp_path):
     # Seed 0 draws both of two nodes into one block; the line used to lack the prefix.
     out = tmp_path / "net.txt"
@@ -357,6 +382,16 @@ def test_theory_check_command(tmp_path, capsys):
     assert "eigenvalue_bound" in report
 
 
+def test_theory_check_command_at_three_blocks(tmp_path, capsys):
+    # Every K but 2 used to end in "block_probs must be 3x3": the default B was 2 x 2.
+    out = tmp_path / "report.json"
+    argv = ["theory-check", "--n", "60", "--k", "3", "--eigen-draws", "5", "--noise-reps", "50"]
+    assert main([*argv, "--out", str(out)]) in (0, 1)  # tiny sizes may fail the gates
+    report = json.loads(out.read_text())
+    assert np.array(report["unbiasedness"]["beta_star"]).shape == (3, 3)
+    assert np.array(report["ci_coverage"]["coverage"]).shape == (3, 3)
+
+
 def test_column_csv_non_numeric_value_names_line(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("x\nabc\n")
@@ -398,6 +433,22 @@ def test_experiment_bad_config_exits_with_one_line(tmp_path):
     with pytest.raises(SystemExit, match="not estimator 'netcoh'"):
         main(["experiment", *flags, "--set", 'estimators=["netcoh"]', "--out", str(tmp_path / "b")])
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+    # A value of the wrong type used to build a config whose every row then
+    # failed, or ended in a TypeError traceback (replicates=1.5).
+    flags = ["--kind", "network_ablation", "--n-grid", "30", "--k-grid", "2"]
+    for setting, rule, got in [
+        ("replicates=1.5", "a positive int", "1.5"),
+        ("n_grid=[30.5]", "a non-empty list of positive ints", "[30.5]"),
+        ("k_grid=[0]", "a non-empty list of positive ints", "[0]"),
+        ("alpha_grid=[-1]", "a list of non-negative ints", "[-1]"),
+        ('noise_sd="x"', "a finite non-negative real", "'x'"),
+        ("base_seed=-1", "a non-negative int", "-1"),
+    ]:
+        field = setting.split("=")[0]
+        message = re.escape(f"bad experiment config: {field} must be {rule}, got {got}")
+        with pytest.raises(SystemExit, match=f"^{message}$"):
+            main(["experiment", *flags, "--set", setting, "--out", str(tmp_path / "c")])
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize(

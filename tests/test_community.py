@@ -19,7 +19,6 @@ from netreg import (
     detect_communities,
     estimate_k,
     kmeans,
-    misclustering_count,
     perturb_membership,
     sample_sbm,
     spectral_embed,
@@ -30,6 +29,12 @@ from netreg.cli import main
 from netreg.community import DegenerateInputError, _leading_eigenpairs
 from netreg.graph import load_edge_list, save_adjacency_csv, save_edge_list
 from netreg.simharness import gen_instance
+
+
+def misclustering_count(estimated, reference):
+    """Nodes whose label differs from the reference after optimal alignment."""
+    mapped = align_permutation(estimated, reference).argmax(axis=1)[estimated.labels]
+    return int(np.sum(mapped != reference.labels))
 
 
 def two_complete_blocks():

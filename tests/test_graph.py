@@ -10,7 +10,6 @@ from netreg import (
     Membership,
     SbmParams,
     load_edge_list,
-    network_sparsity,
     sample_sbm,
     save_adjacency_csv,
     save_edge_list,
@@ -103,16 +102,6 @@ def test_invalid_block_probs_rejected():
         Membership(labels=np.array([0, 0, 0, 0]), n_communities=2)
 
 
-def test_network_sparsity():
-    assert network_sparsity([[0.3]]) == 0.3
-    assert network_sparsity([[0.8, 0.1], [0.1, 0.6]]) == 0.8
-    rng = np.random.default_rng(8)
-    params = assortative_params(rng, 40, 4)
-    s = network_sparsity(params.block_probs)
-    assert 0.5 <= s <= 1.0
-    assert s == params.block_probs.max()
-
-
 def test_empty_edge_list_gives_identity(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
@@ -187,7 +176,6 @@ def test_sampled_membership_params_round_trip():
     rng = np.random.default_rng(0)
     m = random_membership(rng, 30, 3)
     assert m.sizes().sum() == 30
-    assert np.array_equal(Membership.from_onehot(m.onehot()).labels, m.labels)
 
 
 # Reference implementations: the earlier per-line reader, the triu_indices

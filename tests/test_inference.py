@@ -9,29 +9,11 @@ from netreg import (
     community_covariance,
     fit_full,
     hc_covariance,
-    hessian,
     homoskedastic_covariance,
     predict,
     wald_table,
 )
 from netreg.inference import normal_sf_two_sided, significance_stars
-
-
-def test_hessian_trivial_and_brute_force():
-    assert np.all(hessian(np.zeros((5, 3))) == 0.0)
-
-    orthonormal = np.zeros((6, 3))
-    orthonormal[:3] = np.eye(3)
-    assert np.allclose(hessian(orthonormal), np.eye(3))
-
-    rng = np.random.default_rng(0)
-    M = rng.standard_normal((20, 4))
-    brute = np.zeros((4, 4))
-    for a in range(4):
-        for b in range(4):
-            for i in range(20):
-                brute[a, b] += M[i, a] * M[i, b]
-    assert np.allclose(hessian(M), brute, atol=1e-10)
 
 
 def test_homoskedastic_covariance_formulas():

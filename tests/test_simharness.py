@@ -10,7 +10,7 @@ import scipy
 import netreg
 from netreg import ExperimentConfig, fit_full, gen_instance, predict, run_experiment
 from netreg import simharness
-from netreg.baseline import ablation_network, cv_select_lambda, predict_netcoh
+from netreg.baseline import cv_select_lambda, predict_netcoh
 from netreg.community import align_permutation, detect_communities, perturb_membership
 from netreg.metrics import estimation_error, prediction_error
 from netreg.regression import aggregate, fit_row, fit_singleton
@@ -206,10 +206,10 @@ def test_rows_match_direct_computation(kind):
             Z = perturb_membership(inst.membership, r.alpha_n, seed=seed)
         else:
             seed = derive_seed(*coords, 1)
-            Z = detect_communities(A, r.K, seed=seed, restarts=cfg.kmeans_restarts)
+            Z = detect_communities(A, r.K, seed=seed)
         Q = align_permutation(Z, inst.membership)
         if r.estimator == "netcoh":
-            nc = cv_select_lambda(A, x, y, n_folds=cfg.netcoh_folds, seed=derive_seed(*coords, 3))
+            nc = cv_select_lambda(A, x, y, seed=derive_seed(*coords, 3))
             expected = (None, prediction_error(predict_netcoh(nc, x), y))
         else:
             if r.estimator in ("identity_net", "complete_net"):
@@ -230,10 +230,10 @@ def test_ablation_aggregates_match_the_networks(n):
     # identity's bits are the dgemm's, the complete one's agree to rounding.
     inst = gen_instance(n, 3, 0.5, seed=n)
     x, Z = inst.covariate, inst.membership
-    identity = aggregate(ablation_network("identity", n), x[:, None], Z)
+    identity = aggregate(np.eye(n), x[:, None], Z)
     got = simharness._ablation_aggregates("identity_net", x, Z)
     assert got.tobytes() == identity.tobytes()
-    complete = aggregate(ablation_network("complete", n), x[:, None], Z)
+    complete = aggregate(np.ones((n, n)), x[:, None], Z)
     got = simharness._ablation_aggregates("complete_net", x, Z)
     assert np.all(np.abs(got - complete) <= 1e-12 * np.abs(complete))
 
@@ -361,6 +361,21 @@ def test_config_validation():
         ExperimentConfig(kind="network_ablation", n_grid=[100, 50], k_grid=[2])
     with pytest.raises(ValueError):
         ExperimentConfig(kind="network_ablation", n_grid=[50], k_grid=[2], replicates=0)
+    # The type rules' edge cases; tests/test_cli.py has one plain case per field.
+    for field, value in [
+        ("replicates", True),
+        ("n_grid", []),
+        ("n_grid", (50,)),
+        ("k_grid", 2),
+        ("alpha_grid", [0, 1.0]),
+        ("noise_sd", float("nan")),
+        ("noise_sd", float("inf")),
+        ("noise_sd", True),
+        ("base_seed", 1.0),
+    ]:
+        config = {"kind": "network_ablation", "n_grid": [50], "k_grid": [2], field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            ExperimentConfig(**config)
 
 
 def test_eigenvalue_lower_bound_hand_computed():
