@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ._inputs import symmetric, vector
 from ._io import write_json
@@ -332,6 +330,11 @@ def _grounded(A: np.ndarray, held: np.ndarray, boundary: np.ndarray) -> np.ndarr
     touches = boundary > 0
     if touches.all():
         return touches
+    # Imported here: only a fold with an ungrounded held-out node needs them,
+    # and scipy.sparse.csgraph adds about 1 MB to every process that loads it.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     _, comp = connected_components(csr_matrix(A[np.ix_(held, held)]), directed=False)
     return np.bincount(comp, weights=touches)[comp] > 0
 

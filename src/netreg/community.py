@@ -38,6 +38,8 @@ _KEPT_RESIDUAL = 1e-12
 # distances within 2^15 entries (256 KiB), so that a batch's temporaries stay
 # near one restart's. All ten default restarts fit at n = 1000 and K = 3.
 _LLOYD_BATCH_ENTRIES = 2**15
+# Lloyd steps per restart; one whose labels still change keeps its last ones.
+_LLOYD_MAX_ITER = 300
 
 
 class DegenerateInputError(ValueError):
@@ -85,11 +87,11 @@ class Membership:
         write_csv(path, ["node_id", "label"], enumerate(self.labels.tolist()))
 
     @classmethod
-    def from_csv(cls, path, n_communities: int | None = None) -> "Membership":
+    def from_csv(cls, path) -> "Membership":
         """Read a node_id,label CSV; the n rows must name each id in 0..n-1 once.
 
-        Labels must be non-negative and, with K communities (the largest label
-        plus one when ``n_communities`` is not given), use each of 0..K-1.
+        Labels must be non-negative and, with K the largest label plus one,
+        use each of 0..K-1.
         """
         rows = []
         with open(path, "r", encoding="utf-8") as fh:
@@ -117,16 +119,12 @@ class Membership:
                 raise ValueError(f"{path}: line {line_no}: node_id {node} repeats line {seen[node]}")
             if lab < 0:
                 raise ValueError(f"{path}: line {line_no}: negative label {lab}")
-            if n_communities is not None and lab >= n_communities:
-                raise ValueError(
-                    f"{path}: line {line_no}: label {lab} >= n_communities = {n_communities}"
-                )
             seen[node] = line_no
             labels[node] = lab
         if n == 0:
             raise ValueError(f"{path}: no node_id,label rows")
-        K = n_communities if n_communities is not None else int(labels.max()) + 1
-        unused = np.flatnonzero(np.bincount(labels, minlength=K)[:K] == 0)
+        K = int(labels.max()) + 1
+        unused = np.flatnonzero(np.bincount(labels) == 0)
         if unused.size:
             raise ValueError(f"{path}: no node has label {unused[0]}; 0..{K - 1} must all be used")
         return cls(labels=labels, n_communities=K)
@@ -313,40 +311,23 @@ def _converged_prefix(A_f: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> in
     return vals.size
 
 
-def _kmeanspp_centers(points: np.ndarray, K: int, rngs) -> np.ndarray:
-    """k-means++ start centers (R x K x d), restart r drawn from ``rngs[r]``.
+def _kmeanspp_centers(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ start centers (K x d) drawn from ``rng``.
 
-    Each restart's draws are those of ``rng.choice(n, p=d2 / d2.sum())``,
-    numpy's inverse CDF on one random number, without its checks of p;
-    where every d2 is zero the draw is ``rng.integers(n)``. The squared
-    distances of every restart are updated together, summed over dimensions
-    in numpy's order (``_pairwise_sum``).
+    The first center is ``rng.integers(n)``; each next one is
+    ``rng.choice(n, p=d2 / total)`` on the squared distances d2 to the
+    nearest center so far, or ``rng.integers(n)`` where every d2 is zero.
     """
-    n, d = points.shape
-    cols = np.ascontiguousarray(points.T)
-    idx = np.array([rng.integers(n) for rng in rngs])
-    centers = np.empty((idx.size, K, d))
-    centers[:, 0] = points[idx]
-
-    def squared_distance(c):  # R x n: every point to each restart's center c
-        def term(j):
-            diff = cols[j] - centers[:, c, j, None]
-            return np.multiply(diff, diff, out=diff)
-
-        return _pairwise_sum(term, d)
-
-    d2 = squared_distance(0)
+    n = points.shape[0]
+    centers = np.empty((K, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
     for c in range(1, K):
-        total = d2.sum(axis=1)
-        if not np.isfinite(total).all():
+        total = d2.sum()
+        if not np.isfinite(total):
             raise ValueError("k-means points are too far apart: their squared distances overflow")
-        drawn = total > 0.0
-        cdf = np.cumsum(d2 / np.where(drawn, total, 1.0)[:, None], axis=1)
-        cdf /= np.where(drawn, cdf[:, -1], 1.0)[:, None]
-        for r, rng in enumerate(rngs):
-            idx[r] = cdf[r].searchsorted(rng.random(), side="right") if drawn[r] else rng.integers(n)
-        centers[:, c] = points[idx]
-        np.minimum(d2, squared_distance(c), out=d2)
+        centers[c] = points[rng.choice(n, p=d2 / total) if total > 0.0 else rng.integers(n)]
+        np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1), out=d2)
     return centers
 
 
@@ -454,7 +435,7 @@ def _objectives(cols: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np
     return np.multiply(resid, resid, out=resid).reshape(a, -1).sum(axis=1)
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300):
+def _lloyd(points: np.ndarray, centers: np.ndarray):
     """Lloyd's algorithm for R restarts at once from their R x K x d ``centers``.
 
     Returns the R x n labels and the R objectives. Each restart runs as it
@@ -468,7 +449,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300):
     active = np.arange(R)
     labels = np.full((R, n), -1, dtype=np.int64)
     prev_obj = np.full(R, np.inf)
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         new_labels, counts = _assign(points, cols, centers)
         converged = (new_labels == labels).all(axis=1)
         labels = new_labels
@@ -519,8 +500,8 @@ def kmeans(embedding, n_clusters: int, seed: int, restarts: int = 10) -> Members
         )
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
-    centers = _kmeanspp_centers(points, K, rngs)
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    centers = np.stack([_kmeanspp_centers(points, K, np.random.default_rng(c)) for c in children])
     batch = max(1, _LLOYD_BATCH_ENTRIES // (K * points.shape[0]))
     runs = [_lloyd(points, centers[i : i + batch]) for i in range(0, restarts, batch)]
     labels = np.concatenate([lab for lab, _ in runs])

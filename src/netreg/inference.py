@@ -35,20 +35,17 @@ def _inverse_psd(H: np.ndarray, scale_rows: int) -> np.ndarray:
     return H_inv
 
 
-def homoskedastic_covariance(
-    hessian_matrix, residuals, dof_adjust: bool = True, community: int = 0
-) -> CovarianceEstimate:
+def homoskedastic_covariance(hessian_matrix, residuals, community: int = 0) -> CovarianceEstimate:
     """Classical covariance sigma^2 H^{-1} with sigma^2 from community residuals.
 
     ``residuals`` are the residuals of the rows belonging to the community
-    (length n_k); the variance estimate divides by n_k - K when
-    ``dof_adjust`` is set.
+    (length n_k); the variance estimate divides by n_k - K.
     """
     H = np.asarray(hessian_matrix, dtype=np.float64)
     r = np.asarray(residuals, dtype=np.float64)
     K = H.shape[0]
     n_k = r.size
-    dof = n_k - K if dof_adjust else n_k
+    dof = n_k - K
     if dof <= 0:
         raise ValueError(f"community needs more than {K} observations, got {n_k}")
     H_inv = _inverse_psd(H, scale_rows=n_k)
@@ -98,7 +95,7 @@ def hc_covariance(
 
 
 def community_covariance(
-    fit: FitResult, community: int, variant: str = "HC1", dof_adjust: bool = True
+    fit: FitResult, community: int, variant: str = "HC1"
 ) -> CovarianceEstimate:
     """Covariance of one coefficient row of a full-structure fit."""
     if fit.structure != "full":
@@ -107,9 +104,7 @@ def community_covariance(
     rows = fit.aggregates[mask]
     resid = fit.residuals[mask]
     if variant == "homoskedastic":
-        return homoskedastic_covariance(
-            rows.T @ rows, resid, dof_adjust=dof_adjust, community=community
-        )
+        return homoskedastic_covariance(rows.T @ rows, resid, community=community)
     return hc_covariance(rows, resid, variant=variant, community=community)
 
 

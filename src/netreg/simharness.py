@@ -154,6 +154,11 @@ def _ints(values, low: int) -> bool:
     )
 
 
+def _names(values) -> bool:
+    """Whether ``values`` is a non-empty list of strings."""
+    return isinstance(values, list) and len(values) > 0 and all(isinstance(v, str) for v in values)
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment run."""
@@ -173,9 +178,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in _KIND_ESTIMATORS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        valid = _KIND_ESTIMATORS[self.kind]
+        if self.estimators is None:
+            self.estimators = list(valid)
         noise = self.noise_sd
         real = isinstance(noise, (int, float)) and not isinstance(noise, bool)
         grid = "a non-empty list of positive ints"
+        names = "a non-empty list of names"
         rules = [
             ("replicates", "a positive int", _ints([self.replicates], 1)),
             ("n_grid", grid, _ints(self.n_grid, 1) and len(self.n_grid) > 0),
@@ -184,15 +193,15 @@ class ExperimentConfig:
              or _ints(self.alpha_grid, 0)),
             ("noise_sd", "a finite non-negative real", real and math.isfinite(noise) and noise >= 0),
             ("base_seed", "a non-negative int", _ints([self.base_seed], 0)),
+            ("estimators", names, _names(self.estimators)),
+            ("structures", names, _names(self.structures)),
+            ("oracle_membership", "a bool", isinstance(self.oracle_membership, bool)),
         ]
         for name, rule, ok in rules:
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.n_grid != sorted(self.n_grid):
             raise ValueError("n_grid must be ascending")
-        valid = _KIND_ESTIMATORS[self.kind]
-        if self.estimators is None:
-            self.estimators = list(valid)
         for estimator in self.estimators:
             if estimator not in valid:
                 raise ValueError(f"{self.kind} runs {valid}, not estimator {estimator!r}")

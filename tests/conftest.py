@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import netreg
 from netreg import Membership, SbmParams, sample_sbm
 
 
@@ -39,3 +46,14 @@ def in_layout(A, layout: str):
     if layout == "integer":
         return A.astype(np.int64)
     return A
+
+
+def run_child(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter on this netreg; its last stdout line, as JSON."""
+    env = dict(os.environ)
+    src = str(Path(netreg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", code]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assortative_params
+from conftest import assortative_params, run_child
 from netreg import (
     NetcohFit,
     ablation_network,
@@ -215,6 +215,26 @@ def test_cv_handles_isolated_held_out_nodes():
     fit = cv_select_lambda(A, x, y, n_folds=4, seed=0, grid=[0.1, 1.0])
     assert np.isfinite(fit.lam)
     assert fit.notes["ungrounded_held_out"] == n
+
+
+_CSGRAPH_CHILD = r"""
+import json, sys
+
+import numpy as np
+
+import netreg, netreg.cli
+
+report = {"loaded_by_import": "scipy.sparse.csgraph" in sys.modules}
+netreg.cv_select_lambda(np.eye(6), np.arange(6.0), np.ones(6), n_folds=2, grid=[1.0])
+report["loaded_by_ungrounded_fold"] = "scipy.sparse.csgraph" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def test_csgraph_loads_only_for_an_ungrounded_fold():
+    # Importing it cost every process about 1 MB.
+    report = run_child(_CSGRAPH_CHILD)
+    assert report == {"loaded_by_import": False, "loaded_by_ungrounded_fold": True}
 
 
 def eigh_cv_reference(A, x, y, n_folds, seed, grid):

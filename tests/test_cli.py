@@ -443,6 +443,12 @@ def test_experiment_bad_config_exits_with_one_line(tmp_path):
         ("alpha_grid=[-1]", "a list of non-negative ints", "[-1]"),
         ('noise_sd="x"', "a finite non-negative real", "'x'"),
         ("base_seed=-1", "a non-negative int", "-1"),
+        # A string was read name by name, so "full" failed as structure 'f';
+        # an empty list ran nothing, and "no" fitted on the planted labels.
+        ('structures="full"', "a non-empty list of names", "'full'"),
+        ("structures=[]", "a non-empty list of names", "[]"),
+        ("estimators=[]", "a non-empty list of names", "[]"),
+        ('oracle_membership="no"', "a bool", "'no'"),
     ]:
         field = setting.split("=")[0]
         message = re.escape(f"bad experiment config: {field} must be {rule}, got {got}")

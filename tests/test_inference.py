@@ -25,9 +25,6 @@ def test_homoskedastic_covariance_formulas():
     cov = homoskedastic_covariance(H, r)
     assert np.allclose(cov.matrix, (10.0 / 7.0) / 4.0 * np.eye(3))
 
-    no_adjust = homoskedastic_covariance(H, r, dof_adjust=False)
-    assert np.allclose(no_adjust.matrix, 1.0 / 4.0 * np.eye(3))
-
     with pytest.raises(np.linalg.LinAlgError):
         homoskedastic_covariance(np.zeros((2, 2)), np.ones(5))
     with pytest.raises(ValueError):
