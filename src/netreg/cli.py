@@ -210,8 +210,13 @@ def _config_or_exit(build, source) -> ExperimentConfig:
 
 
 def _cmd_experiment(args) -> int:
+    # The file's own fields, the flags and --set make one config, built once,
+    # so that its defaults (the estimators) are the final kind's.
     if args.config:
-        data = _config_or_exit(ExperimentConfig.from_json, args.config).to_dict()
+        with open(args.config, "r", encoding="utf-8") as fh:
+            data = _config_or_exit(json.load, fh)
+        if not isinstance(data, dict):
+            _config_or_exit(ExperimentConfig.from_dict, data)  # exits, naming the JSON type
     elif args.kind and args.n_grid and args.k_grid:
         data = {}
     else:

@@ -123,10 +123,12 @@ class Membership:
             labels[node] = lab
         if n == 0:
             raise ValueError(f"{path}: no node_id,label rows")
-        K = int(labels.max()) + 1
-        unused = np.flatnonzero(np.bincount(labels) == 0)
-        if unused.size:
-            raise ValueError(f"{path}: no node has label {unused[0]}; 0..{K - 1} must all be used")
+        used = np.unique(labels)
+        K = int(used[-1]) + 1
+        if used.size < K:
+            # used is sorted and distinct: label i is missing at the first i with used[i] != i.
+            unused = np.flatnonzero(used != np.arange(used.size))[0]
+            raise ValueError(f"{path}: no node has label {unused}; 0..{K - 1} must all be used")
         return cls(labels=labels, n_communities=K)
 
 
@@ -143,18 +145,6 @@ class SpectralEmbedding:
     zero_rows: np.ndarray = field(repr=False)
 
 
-def _solves_densely(n: int, k: int) -> bool:
-    """Whether ``_leading_eigenpairs`` takes the dense eigendecomposition for k of n pairs.
-
-    ARPACK's basis holds more than k and at most n vectors, so from
-    k = n - 1 on it is the whole space and the dense solve is exact for the
-    same work. Below that, at any n, the solve is ARPACK: at K = 3 it took
-    1.0-2.0 ms against 4.4-29 ms for ``eigh`` at n = 200-500 (README, "The
-    eigensolver").
-    """
-    return k >= n - 1
-
-
 def _leading_eigenpairs(
     A: np.ndarray, A_f: np.ndarray, k: int, tol: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +158,7 @@ def _leading_eigenpairs(
     solver ignores it.
     """
     n = A.shape[0]
-    if _solves_densely(n, k):
-        # dsyevd on the lower triangle, as numpy's eigh.
+    if k >= n - 1:  # ARPACK's basis would be the whole space: dsyevd, as numpy's eigh.
         vals, vecs = eigh(A, driver="evd", check_finite=False)
     else:
         op = LinearOperator(A.shape, matvec=lambda v: blas.dsymv(1.0, A_f, v), dtype=np.float64)
@@ -226,8 +215,8 @@ class ScreeResult:
     ``bulk_edge`` is the threshold the suggestion counted singular values
     above. ``estimate_k`` also keeps the leading eigenvectors the scree came
     from in ``eigenvectors``, so ``embedding`` reuses them instead of solving
-    again: all k_max on the dense path, and from ARPACK the longest prefix
-    whose residuals meet the backward-error bound (``_KEPT_RESIDUAL``).
+    again: the longest prefix whose residuals meet the backward-error bound
+    (``_KEPT_RESIDUAL``), which a dense solve meets for all k_max.
     """
 
     singular_values: np.ndarray
@@ -258,9 +247,9 @@ def estimate_k(adjacency, k_max: int) -> ScreeResult:
     separation within the first k_max values) yields suggestion 1 with the
     ``flat_scree`` flag.
 
-    ARPACK stops at a relative residual of ``_SCREE_TOL``, unless two of
-    the values it finds agree to ``_REPEATED_RTOL`` (a multiple eigenvalue),
-    in which case it solves again to machine precision. The eigenvectors kept
+    ARPACK stops at a relative residual of ``_SCREE_TOL``. When two of the
+    values found agree to ``_REPEATED_RTOL`` (a multiple eigenvalue), the
+    solve runs again to machine precision. The eigenvectors kept
     for ``ScreeResult.embedding`` are the leading ones whose residual is at
     machine precision (``_converged_prefix``).
     """
@@ -269,14 +258,13 @@ def estimate_k(adjacency, k_max: int) -> ScreeResult:
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must be in [1, {n}], got {k_max}")
     vals, vecs = _leading_eigenpairs(A, A_f, k_max, tol=_SCREE_TOL)
-    if not _solves_densely(n, k_max):
-        if _has_repeated_value(vals):
-            # Lanczos from one start vector finds the further copies of a
-            # multiple eigenvalue only as rounding grows them, and a run
-            # stopped at _SCREE_TOL may end before it has: solve to
-            # machine precision instead.
-            vals, vecs = _leading_eigenpairs(A, A_f, k_max)
-        vecs = vecs[:, : _converged_prefix(A_f, vals, vecs)]
+    if _has_repeated_value(vals):
+        # Lanczos from one start vector finds the further copies of a
+        # multiple eigenvalue only as rounding grows them, and a run stopped
+        # at _SCREE_TOL may end before it has: solve to machine precision
+        # instead. A dense solve gives the same bits again.
+        vals, vecs = _leading_eigenpairs(A, A_f, k_max)
+    vecs = vecs[:, : _converged_prefix(A_f, vals, vecs)]
     sigma = np.abs(vals)
     p = float(np.clip((A.sum() - np.trace(A)) / max(n * (n - 1), 1), 0.0, 1.0))
     bulk_edge = 1.1 * 2.0 * float(np.sqrt(n * p * (1.0 - p)))

@@ -25,12 +25,8 @@ _ROW_BLOCK = 32
 class EdgeListFormatError(ValueError):
     """Raised for malformed edge-list files ("<path>: line <n>: ..."); keeps ``line_number``."""
 
-    def __init__(self, message: str, line_number: int | None = None, path=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        if path is not None:
-            message = f"{path}: {message}"
-        super().__init__(message)
+    def __init__(self, message: str, line_number: int, path):
+        super().__init__(f"{path}: line {line_number}: {message}")
         self.line_number = line_number
 
 

@@ -417,14 +417,10 @@ def summarize(rows: list) -> list:
 
 
 def _blas_build(module) -> dict | None:
-    """Name and version of the BLAS that numpy or scipy was built against.
-
-    None when the build does not report it (``show_config`` before numpy
-    1.25 and scipy 1.11 has no ``mode="dicts"``).
-    """
+    """Name and version of the BLAS that numpy or scipy was built against; None if unreported."""
     try:
         dep = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
+    except KeyError:
         return None
     return {"name": dep.get("name"), "version": dep.get("version")}
 

@@ -377,6 +377,41 @@ def test_cv_matches_eigh_reference_on_random_graphs(n, density, weighted, self_l
     check_random_graph_cv(n, density, weighted, self_loops, seed, n_folds)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    density=st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]),
+    weighted=st.booleans(),
+    self_loops=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_fit_netcoh_is_node_permutation_equivariant(n, density, weighted, self_loops, seed, data):
+    # Relabelling the nodes by P permutes alpha and keeps beta. Each fit is
+    # within its Lanczos stop of the exact solve: s_x within eps |x| and s_y
+    # within eps f |y|, where f is the slope's denominator x^T (x - s_x) as a
+    # fraction of x^T x, floored. beta divides the y run's error by that
+    # fraction, and alpha = s_y - beta s_x carries all three; two fits, twice.
+    A, x, y = _random_graph(n, density, weighted, self_loops, seed)
+    lam = data.draw(st.sampled_from(default_lambda_grid().tolist()), label="lam")
+    perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+    fit = fit_netcoh(A, x, y, lam)
+    fit_p = fit_netcoh(A[np.ix_(perm, perm)], x[perm], y[perm], lam)
+    assert fit_p.notes == fit.notes
+    if not fit.notes["slope_identified"]:
+        assert fit_p.beta == fit.beta == 0.0
+        np.testing.assert_allclose(fit_p.alpha, fit.alpha[perm], rtol=0, atol=2e-13 * np.linalg.norm(y))
+        return
+    s_x = np.linalg.solve(np.eye(n) + lam * laplacian(A), x)
+    frac = x @ (x - s_x) / (x @ x)
+    f = max(frac, baseline._SLOPE_FRACTION_FLOOR)
+    eps, x_norm, y_norm = baseline._LANCZOS_RTOL, np.linalg.norm(x), np.linalg.norm(y)
+    beta_tol = 2 * eps * ((f / frac) * y_norm / x_norm + abs(fit.beta))
+    assert abs(fit_p.beta - fit.beta) <= beta_tol
+    alpha_tol = 2 * eps * ((f + f / frac) * y_norm + 2 * abs(fit.beta) * x_norm)
+    np.testing.assert_allclose(fit_p.alpha, fit.alpha[perm], rtol=0, atol=alpha_tol)
+
+
 def test_cv_slope_on_a_null_eigenvalue_at_rounding_size():
     # A draw of the property above. A fold's slope denominator is 3.3e-5 of
     # x^T x, and the training Laplacian's null eigenvalue came out of dstev

@@ -360,6 +360,18 @@ def test_experiment_flags_and_config_build_the_same_config(tmp_path):
         main(["experiment", *flags, "--set", "bogus_field=1", "--out", str(tmp_path / "x")])
 
 
+def test_experiment_config_of_another_kind_takes_the_final_kinds_estimators(tmp_path):
+    # The file's config used to be built first, filling in its own kind's
+    # estimators ("row" among them), which network_ablation then rejected.
+    config = Path(__file__).resolve().parents[1] / "configs" / "coef_structure_full.json"
+    flags = ["--kind", "network_ablation", "--n-grid", "20", "--k-grid", "2", "--replicates", "1"]
+    assert main(["experiment", "--config", str(config), *flags, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["config"]["estimators"] == ["full", "identity_net", "complete_net", "netcoh"]
+    assert meta["config"]["structures"] == ["full", "row", "singleton"]
+    assert len((tmp_path / "raw.csv").read_text().splitlines()) == 1 + 4
+
+
 def test_theory_check_command(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(
@@ -429,6 +441,9 @@ def test_experiment_bad_config_exits_with_one_line(tmp_path):
     cfg_path.write_text(json.dumps(config))
     with pytest.raises(SystemExit, match=r"unknown config fields \['replicas'\]"):
         main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
+    cfg_path.write_text("[1]")
+    with pytest.raises(SystemExit, match=r"^bad experiment config: a config must be a JSON object, got list$"):
+        main(["experiment", "--config", str(cfg_path), "--replicates", "2", "--out", str(tmp_path / "a")])
     flags = ["--kind", "coef_structure", "--n-grid", "40", "--k-grid", "2"]
     with pytest.raises(SystemExit, match="not estimator 'netcoh'"):
         main(["experiment", *flags, "--set", 'estimators=["netcoh"]', "--out", str(tmp_path / "b")])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -608,6 +609,21 @@ def test_membership_csv_bad_label_names_path(tmp_path, body, message):
     path.write_text("node_id,label\n" + body)
     with pytest.raises(ValueError, match=message):
         Membership.from_csv(path)
+
+
+def test_membership_csv_unused_label_check_is_sized_by_the_rows(tmp_path):
+    # A label count sized by the largest label took 172 MB here before the
+    # error; a label near 1e10 would ask for about 80 GB.
+    path = tmp_path / "membership.csv"
+    path.write_text("node_id,label\n0,0\n1,20000000\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"no node has label 1; 0\.\.20000000 must all be used"):
+            Membership.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def lanczos_cases():

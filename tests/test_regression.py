@@ -481,12 +481,19 @@ def _network_problem(draw):
     return A, rng.standard_normal(n), rng.standard_normal(n), random_membership(rng, n, K)
 
 
-def _conditioning(A, x, m) -> float:
-    """Largest condition number of the per-community normal matrices, on the eigenvalues pinv_psd keeps."""
-    N = aggregate(A, x[:, None], m)
+# The designs each fitter solves by normal equations, from the aggregate N:
+# one per community, N itself, or the neighbourhood sum.
+_DESIGNS = {
+    fit_full: lambda N, m: [N[m.labels == k] for k in range(m.n_communities)],
+    fit_row: lambda N, m: [N],
+    fit_singleton: lambda N, m: [N.sum(axis=1, keepdims=True)],
+}
+
+
+def _conditioning(A, x, m, fitter) -> float:
+    """Largest condition number of the fitter's normal matrices, on the eigenvalues pinv_psd keeps."""
     worst = 1.0
-    for k in range(m.n_communities):
-        Nk = N[m.labels == k]
+    for Nk in _DESIGNS[fitter](aggregate(A, x[:, None], m), m):
         w = np.linalg.eigvalsh(Nk.T @ Nk)
         kept = w[w > m.n * np.finfo(np.float64).eps * max(w[-1], 0.0)]
         if kept.size:
@@ -504,16 +511,17 @@ def _close(got, want, rtol):
 @given(problem=_network_problem(), data=st.data())
 def test_fit_and_predict_are_node_permutation_equivariant(problem, data):
     # Relabelling the nodes by P permutes the fitted values and keeps beta:
-    # fit(P A P^T, P x, P y, labels o P^-1) = (beta, P fitted). Only the
-    # order of the sums changes, so the two fits agree to rounding times the
-    # conditioning of the normal equations.
+    # fit(P A P^T, P x, P y, labels o P^-1) = (beta, P fitted), for the full,
+    # row and singleton fits. Only the order of the sums changes, so the two
+    # fits agree to rounding times the conditioning of the normal equations.
     A, x, y, m = problem
     n = x.size
+    fitter = data.draw(st.sampled_from(list(_DESIGNS)), label="fitter")
     perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
     A_p, x_p, y_p = A[np.ix_(perm, perm)], x[perm], y[perm]
     m_p = Membership(labels=m.labels[perm], n_communities=m.n_communities)
-    fit, fit_p = fit_full(A, x, y, m), fit_full(A_p, x_p, y_p, m_p)
-    rtol = 1e-14 * _conditioning(A, x, m)
+    fit, fit_p = fitter(A, x, y, m), fitter(A_p, x_p, y_p, m_p)
+    rtol = 1e-14 * _conditioning(A, x, m, fitter)
     assert fit_p.min_norm == fit.min_norm
     _close(fit_p.beta, fit.beta, rtol)
     _close(fit_p.fitted, fit.fitted[perm], rtol)

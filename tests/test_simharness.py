@@ -303,10 +303,9 @@ def test_summary_matches_raw(tmp_path):
             assert abs(expected_se - cell["err_pred_stderr"]) < 1e-12
 
 
-def test_blas_build_is_none_without_dict_config():
-    # numpy before 1.25 and scipy before 1.11 print their config and take no mode.
-    old = types.SimpleNamespace(show_config=lambda: None)
-    assert simharness._blas_build(old) is None
+def test_blas_build_is_none_when_the_build_reports_no_blas():
+    build = types.SimpleNamespace(show_config=lambda mode: {"Build Dependencies": {}})
+    assert simharness._blas_build(build) is None
 
 
 def test_meta_and_timings_written(tmp_path):
@@ -320,7 +319,7 @@ def test_meta_and_timings_written(tmp_path):
     for module in (np, scipy):
         expected = simharness._blas_build(module)
         assert meta["blas"][module.__name__] == expected
-        if expected is not None:  # reported from numpy 1.25 and scipy 1.11 on
+        if expected is not None:
             assert expected["name"] and expected["version"]
     assert meta["openblas_thread_timeout"] == netreg._OPENBLAS_THREAD_TIMEOUT
     timings = (tmp_path / "out" / "timings.csv").read_text().splitlines()
