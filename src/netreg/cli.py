@@ -32,7 +32,10 @@ def _read_column_csv(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().rstrip().splitlines()
     for idx, line in enumerate(lines):
-        token = line.strip().split(",")[0]
+        cells = line.strip().split(",")
+        if len(cells) > 1:
+            raise ValueError(f"{path}: line {idx + 1} has {len(cells)} cells, expected one column")
+        token = cells[0]
         if not token:
             raise ValueError(f"{path}: line {idx + 1} has no value")
         try:

@@ -139,6 +139,17 @@ def test_column_csv_rejects_blank_line_between_values(tmp_path):
         _read_column_csv(path)
 
 
+def test_column_csv_rejects_a_second_column(tmp_path):
+    # A membership file passed as --x used to give x = the node ids, silently.
+    path = tmp_path / "mem.csv"
+    path.write_text("node_id,label\n0,0\n1,1\n")
+    with pytest.raises(ValueError, match=r"mem\.csv: line 1 has 2 cells, expected one column$"):
+        _read_column_csv(path)
+    path.write_text("x\n1.0\n2.0,3.0,4.0\n")
+    with pytest.raises(ValueError, match=r"mem\.csv: line 3 has 3 cells, expected one column$"):
+        _read_column_csv(path)
+
+
 def test_netcoh_command(workspace, capsys):
     out = workspace["dir"] / "netcoh.json"
     rc = main(
@@ -402,6 +413,31 @@ def test_theory_check_command_at_three_blocks(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert np.array(report["unbiasedness"]["beta_star"]).shape == (3, 3)
     assert np.array(report["ci_coverage"]["coverage"]).shape == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eigen-draws", "0"], "n_eigen_draws must be at least 1, got 0"),
+        (["--noise-reps", "1"], "n_noise_reps must be at least 2, got 1"),
+        (["--noise-reps", "0"], "n_noise_reps must be at least 2, got 0"),
+        (["--noise-sd", "nan"], "noise_sd must be finite and positive, got nan"),
+        (["--noise-sd", "0"], "noise_sd must be finite and positive, got 0.0"),
+        (
+            ["--n", "4", "--k", "2"],
+            "each of the K = 2 blocks needs more than K nodes for the residual variance, "
+            "got n // K = 2",
+        ),
+    ],
+)
+def test_theory_check_rejects_a_degenerate_design_in_one_line(tmp_path, flags, message):
+    # These used to end in a ZeroDivisionError traceback, or to pass on a NaN
+    # z-score (Python's max(0.0, nan) is 0.0) and write bare NaN to the report.
+    out = tmp_path / "report.json"
+    argv = ["theory-check", "--n", "60", "--eigen-draws", "5", "--noise-reps", "50", *flags]
+    with pytest.raises(SystemExit, match=f"^netreg theory-check: {re.escape(message)}$"):
+        main([*argv, "--out", str(out)])
+    assert not out.exists()
 
 
 def test_column_csv_non_numeric_value_names_line(tmp_path):

@@ -348,7 +348,8 @@ def test_config_round_trip(tmp_path):
     path = tmp_path / "config.json"
     with open(path, "w") as fh:
         json.dump(cfg.to_dict(), fh)
-    loaded = ExperimentConfig.from_json(path)
+    with open(path) as fh:
+        loaded = ExperimentConfig.from_dict(json.load(fh))
     assert loaded == cfg
     assert loaded.config_hash() == cfg.config_hash()
 
