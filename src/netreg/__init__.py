@@ -49,8 +49,6 @@ from .inference import (
     CovarianceEstimate,
     TestTable,
     community_covariance,
-    hc_covariance,
-    homoskedastic_covariance,
     wald_table,
 )
 from .baseline import (
@@ -103,8 +101,6 @@ __all__ = [
     "CovarianceEstimate",
     "TestTable",
     "community_covariance",
-    "hc_covariance",
-    "homoskedastic_covariance",
     "wald_table",
     "NetcohFit",
     "ablation_network",

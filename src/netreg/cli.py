@@ -20,7 +20,7 @@ from .graph import (
     save_adjacency_csv,
     save_edge_list,
 )
-from .inference import wald_table
+from .inference import HC_VARIANTS, wald_table
 from .metrics import network_adjusted_r2, prediction_error
 from .regression import fit_full, fit_ols, fit_row, fit_singleton
 from .simharness import ExperimentConfig, run_experiment, run_theory_checks
@@ -245,15 +245,28 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+# run_theory_checks' messages start with the parameter at fault; any other
+# check it makes is of the design that --n and --k choose.
+_THEORY_FLAGS = {
+    "n_eigen_draws": "--eigen-draws",
+    "n_noise_reps": "--noise-reps",
+    "noise_sd": "--noise-sd",
+}
+
+
 def _cmd_theory_check(args) -> int:
-    report = run_theory_checks(
-        n=args.n,
-        n_communities=args.k,
-        noise_sd=args.noise_sd,
-        n_eigen_draws=args.eigen_draws,
-        n_noise_reps=args.noise_reps,
-        base_seed=args.base_seed,
-    )
+    try:
+        report = run_theory_checks(
+            n=args.n,
+            n_communities=args.k,
+            noise_sd=args.noise_sd,
+            n_eigen_draws=args.eigen_draws,
+            n_noise_reps=args.noise_reps,
+            base_seed=args.base_seed,
+        )
+    except ValueError as exc:
+        flag = _THEORY_FLAGS.get(str(exc).split(" ", 1)[0], "--n/--k")
+        raise ValueError(f"{flag}: {exc}") from None
     if args.out:
         write_json(args.out, report)
     print(json.dumps(report, indent=2))
@@ -304,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--membership", required=True)
-    p.add_argument("--hc-variant", choices=["homoskedastic", "HC0", "HC1", "HC3"], default="HC1")
+    p.add_argument("--hc-variant", choices=HC_VARIANTS, default="HC1")
     p.add_argument("--out", required=True, help="test table CSV output")
     p.set_defaults(func=_cmd_infer)
 

@@ -16,7 +16,7 @@ import numpy as np
 from ._io import write_csv
 from .regression import FitResult, pinv_psd
 
-HC_VARIANTS = ("HC0", "HC1", "HC3")
+HC_VARIANTS = ("homoskedastic", "HC0", "HC1", "HC3")
 
 
 @dataclass(frozen=True)
@@ -28,58 +28,36 @@ class CovarianceEstimate:
     variant: str
 
 
-def _inverse_psd(H: np.ndarray, scale_rows: int) -> np.ndarray:
-    H_inv, singular = pinv_psd(H, scale_rows)
-    if singular:
-        raise np.linalg.LinAlgError("Hessian is singular; covariance undefined")
-    return H_inv
+class _Undefined(ValueError):
+    """The data leave the variant's covariance undefined; the Hessian itself is not singular."""
 
 
-def homoskedastic_covariance(hessian_matrix, residuals, community: int = 0) -> CovarianceEstimate:
-    """Classical covariance sigma^2 H^{-1} with sigma^2 from community residuals.
+def _covariance(design_rows, residuals, variant: str, community: int) -> CovarianceEstimate:
+    """Covariance of one community's coefficient row from its n_k x K design rows X.
 
-    ``residuals`` are the residuals of the rows belonging to the community
-    (length n_k); the variance estimate divides by n_k - K.
-    """
-    H = np.asarray(hessian_matrix, dtype=np.float64)
-    r = np.asarray(residuals, dtype=np.float64)
-    K = H.shape[0]
-    n_k = r.size
-    dof = n_k - K
-    if dof <= 0:
-        raise ValueError(f"community needs more than {K} observations, got {n_k}")
-    H_inv = _inverse_psd(H, scale_rows=n_k)
-    sigma2 = float(r @ r) / dof
-    return CovarianceEstimate(community=community, matrix=sigma2 * H_inv, variant="homoskedastic")
-
-
-def hc_covariance(
-    design_rows, residuals, variant: str = "HC1", community: int = 0
-) -> CovarianceEstimate:
-    """Heteroskedasticity-consistent sandwich covariance for one community.
-
-    Parameters
-    ----------
-    design_rows : array, shape (n_k, K)
-        Design rows of the community's observations.
-    residuals : array, shape (n_k,)
-        Matching residuals.
-    variant : {'HC0', 'HC1', 'HC3'}
-        Weighting of squared residuals in the meat: 1, n_k/(n_k - K), or
-        1/(1 - h_ii)^2 with h_ii the leverage of row i.
+    With H = X^T X, ``homoskedastic`` is sigma^2 H^{-1}, sigma^2 = ||r||^2 / (n_k - K);
+    the sandwich variants H^{-1} X^T diag(w r^2) X H^{-1} weight the squared
+    residuals by 1 (HC0), n_k / (n_k - K) (HC1), or 1 / (1 - h_ii)^2 with h_ii
+    the leverage of row i (HC3). A singular H raises LinAlgError; n_k <= K
+    (homoskedastic, HC1) or a leverage of 1 (HC3) raises ``_Undefined``.
     """
     if variant not in HC_VARIANTS:
         raise ValueError(f"variant must be one of {HC_VARIANTS}, got {variant!r}")
     X = np.asarray(design_rows, dtype=np.float64)
     r = np.asarray(residuals, dtype=np.float64)
-    if X.ndim != 2 or r.shape != (X.shape[0],):
-        raise ValueError("design_rows must be (n_k, K) with matching residuals")
     n_k, K = X.shape
-    H_inv = _inverse_psd(X.T @ X, scale_rows=n_k)
+    H_inv, singular = pinv_psd(X.T @ X, scale_rows=n_k)
+    if singular:
+        raise np.linalg.LinAlgError("Hessian is singular; covariance undefined")
+    if variant in ("homoskedastic", "HC1") and n_k <= K:
+        raise _Undefined(f"{variant} needs n_k > K, got n_k = {n_k}, K = {K}")
+    if variant == "homoskedastic":
+        sigma2 = float(r @ r) / (n_k - K)
+        return CovarianceEstimate(community=community, matrix=sigma2 * H_inv, variant=variant)
     if variant == "HC3":
         leverage = np.einsum("ij,jk,ik->i", X, H_inv, X)
         if np.any(leverage >= 1.0 - 1e-12):
-            raise ValueError("leverage of 1 encountered; HC3 weight undefined")
+            raise _Undefined("leverage of 1 encountered; HC3 weight undefined")
         weights = 1.0 / (1.0 - leverage) ** 2
     else:
         weights = np.ones(n_k)
@@ -88,8 +66,6 @@ def hc_covariance(
     cov = 0.5 * (cov + cov.T)
     if variant == "HC1":
         # Exact scalar multiple of HC0 by construction.
-        if n_k <= K:
-            raise ValueError(f"HC1 needs n_k > K, got n_k = {n_k}, K = {K}")
         cov = (n_k / (n_k - K)) * cov
     return CovarianceEstimate(community=community, matrix=cov, variant=variant)
 
@@ -97,15 +73,11 @@ def hc_covariance(
 def community_covariance(
     fit: FitResult, community: int, variant: str = "HC1"
 ) -> CovarianceEstimate:
-    """Covariance of one coefficient row of a full-structure fit."""
+    """Covariance of one coefficient row of a full-structure fit (see ``_covariance``)."""
     if fit.structure != "full":
         raise ValueError("per-community covariances require a full-structure fit")
     mask = fit.membership.labels == community
-    rows = fit.aggregates[mask]
-    resid = fit.residuals[mask]
-    if variant == "homoskedastic":
-        return homoskedastic_covariance(rows.T @ rows, resid, community=community)
-    return hc_covariance(rows, resid, variant=variant, community=community)
+    return _covariance(fit.aggregates[mask], fit.residuals[mask], variant, community)
 
 
 def normal_sf_two_sided(z: float) -> float:
@@ -126,6 +98,7 @@ def significance_stars(p: float) -> str:
 # What each TestCell.flag means; a flagged cell's p-value is not a test result.
 _FLAG_MEANINGS = {
     "singular": "the target community's Hessian is singular: no standard error",
+    "undefined": "n_k <= K, or a leverage of 1 (HC3): the variant gives no standard error",
     "degenerate": "estimate and standard error are both 0",
     "zero_se": "the standard error is 0: z is infinite",
 }
@@ -194,16 +167,20 @@ def wald_table(fit: FitResult, covariances=None, variant: str = "HC1") -> TestTa
 
     ``covariances`` may supply one CovarianceEstimate per community; when
     omitted they are computed from the fit with the requested variant, and a
-    community whose Hessian is singular gets NaN cells flagged ``singular``.
+    community whose Hessian is singular gets NaN cells flagged ``singular``;
+    one whose covariance the variant leaves undefined, ``undefined``.
     """
     K = fit.membership.n_communities
+    missing = {}
     if covariances is None:
         covariances = []
         for k in range(K):
             try:
                 covariances.append(community_covariance(fit, k, variant=variant))
             except np.linalg.LinAlgError:
-                continue
+                missing[k] = "singular"
+            except _Undefined:
+                missing[k] = "undefined"
     elif sorted({c.community for c in covariances}) != list(range(K)):
         raise ValueError("need a covariance estimate for every community")
     by_community = {c.community: c.matrix for c in covariances}
@@ -217,7 +194,7 @@ def wald_table(fit: FitResult, covariances=None, variant: str = "HC1") -> TestTa
             se = math.nan if cov is None else math.sqrt(max(float(cov[k2, k2]), 0.0))
             flag = ""
             if cov is None:
-                z, p, flag = math.nan, math.nan, "singular"
+                z, p, flag = math.nan, math.nan, missing[k1]
             elif se == 0.0:
                 if est == 0.0:
                     z, p, flag = 0.0, 1.0, "degenerate"

@@ -428,14 +428,17 @@ def test_theory_check_command_at_three_blocks(tmp_path, capsys):
             "each of the K = 2 blocks needs more than K nodes for the residual variance, "
             "got n // K = 2",
         ),
+        (["--n", "61", "--k", "2"], "theory checks use an exactly balanced design; need K >= 1 and K | n"),
     ],
 )
 def test_theory_check_rejects_a_degenerate_design_in_one_line(tmp_path, flags, message):
     # These used to end in a ZeroDivisionError traceback, or to pass on a NaN
     # z-score (Python's max(0.0, nan) is 0.0) and write bare NaN to the report.
+    # The line names the flags at fault, then gives run_theory_checks' own message.
     out = tmp_path / "report.json"
     argv = ["theory-check", "--n", "60", "--eigen-draws", "5", "--noise-reps", "50", *flags]
-    with pytest.raises(SystemExit, match=f"^netreg theory-check: {re.escape(message)}$"):
+    expected = f"{'/'.join(flags[::2])}: {message}"
+    with pytest.raises(SystemExit, match=f"^netreg theory-check: {re.escape(expected)}$"):
         main([*argv, "--out", str(out)])
     assert not out.exists()
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,27 +9,28 @@ from netreg import (
     Membership,
     community_covariance,
     fit_full,
-    hc_covariance,
-    homoskedastic_covariance,
     predict,
     wald_table,
 )
-from netreg.inference import normal_sf_two_sided, significance_stars
+from netreg.inference import _covariance, normal_sf_two_sided, significance_stars
+from netreg.simharness import gen_instance
 
 
 def test_homoskedastic_covariance_formulas():
-    H = 4.0 * np.eye(3)
-    zero = homoskedastic_covariance(H, np.zeros(10))
+    # X^T X = 4 I: three rows 2 e_j, seven zero rows.
+    X = np.zeros((10, 3))
+    X[:3] = 2.0 * np.eye(3)
+    zero = _covariance(X, np.zeros(10), "homoskedastic", 0)
     assert np.all(zero.matrix == 0.0)
 
     r = np.ones(10)  # ||r||^2 = 10, dof = 10 - 3 = 7
-    cov = homoskedastic_covariance(H, r)
+    cov = _covariance(X, r, "homoskedastic", 0)
     assert np.allclose(cov.matrix, (10.0 / 7.0) / 4.0 * np.eye(3))
 
     with pytest.raises(np.linalg.LinAlgError):
-        homoskedastic_covariance(np.zeros((2, 2)), np.ones(5))
+        _covariance(np.zeros((5, 2)), np.ones(5), "homoskedastic", 0)
     with pytest.raises(ValueError):
-        homoskedastic_covariance(np.eye(3), np.ones(3))
+        _covariance(np.eye(3), np.ones(3), "homoskedastic", 0)
 
 
 def test_homoskedastic_covariance_monte_carlo_oracle():
@@ -44,7 +46,11 @@ def test_homoskedastic_covariance_monte_carlo_oracle():
     N = (A * x[None, :]) @ Z
     Xk = N[mask]
     H = Xk.T @ Xk
-    target = sigma**2 * np.linalg.inv(H)
+    # Residuals with ||r||^2 / (n_k - K) = sigma^2 make the estimate the truth.
+    r = np.zeros(Xk.shape[0])
+    r[0] = sigma * math.sqrt(Xk.shape[0] - 2)
+    target = _covariance(Xk, r, "homoskedastic", 0).matrix
+    assert np.allclose(target, sigma**2 * np.linalg.inv(H), rtol=1e-12, atol=0.0)
     assert np.abs(target).min() > 1e-7  # relative tolerance is meaningful
 
     betas = []
@@ -61,11 +67,11 @@ def test_hc_covariance_trivial_cases():
     X = rng.standard_normal((15, 2))
     H_inv = np.linalg.inv(X.T @ X)
 
-    const = hc_covariance(X, np.full(15, 2.0), variant="HC0")
+    const = _covariance(X, np.full(15, 2.0), "HC0", 0)
     assert np.allclose(const.matrix, 4.0 * H_inv, atol=1e-12)
 
     for variant in ("HC0", "HC1", "HC3"):
-        zero = hc_covariance(X, np.zeros(15), variant=variant)
+        zero = _covariance(X, np.zeros(15), variant, 0)
         assert np.allclose(zero.matrix, 0.0)
 
 
@@ -80,7 +86,7 @@ def test_hc0_matches_triple_loop():
             for b in range(3):
                 meat[a, b] += r[i] ** 2 * X[i, a] * X[i, b]
     brute = H_inv @ meat @ H_inv
-    got = hc_covariance(X, r, variant="HC0").matrix
+    got = _covariance(X, r, "HC0", 0).matrix
     assert np.abs(got - brute).max() < 1e-12
 
 
@@ -88,8 +94,8 @@ def test_hc1_is_exact_multiple_of_hc0():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((30, 4))
     r = rng.standard_normal(30)
-    hc0 = hc_covariance(X, r, variant="HC0").matrix
-    hc1 = hc_covariance(X, r, variant="HC1").matrix
+    hc0 = _covariance(X, r, "HC0", 0).matrix
+    hc1 = _covariance(X, r, "HC1", 0).matrix
     assert np.array_equal(hc1, (30 / (30 - 4)) * hc0)
 
 
@@ -97,7 +103,17 @@ def test_hc3_leverage_error():
     # Square design: every leverage is exactly 1.
     X = np.eye(3)
     with pytest.raises(ValueError):
-        hc_covariance(X, np.ones(3), variant="HC3")
+        _covariance(X, np.ones(3), "HC3", 0)
+
+
+def test_bad_variant_error_names_all_four_variants():
+    A, x, m = small_instance(43, n=80, n_communities=2)
+    fit = fit_full(A, x, np.random.default_rng(44).standard_normal(80), m)
+    message = "variant must be one of ('homoskedastic', 'HC0', 'HC1', 'HC3'), got 'hc1'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        community_covariance(fit, 0, "hc1")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        wald_table(fit, variant="hc1")
 
 
 def test_covariance_invariants_on_fit():
@@ -190,6 +206,25 @@ def test_wald_flags_singular_community_without_aborting():
     assert all(c.flag == "singular" for c in wald_table(complete).cells)
     with pytest.raises(np.linalg.LinAlgError):
         community_covariance(complete, 0)
+
+
+@pytest.mark.parametrize("variant", ["homoskedastic", "HC0", "HC1", "HC3"])
+def test_wald_flags_undefined_community_without_aborting(variant):
+    # A 2-node community (n_k = K) leaves homoskedastic, HC1 and HC3 undefined
+    # and used to abort the table; a 1-node one has a singular Hessian.
+    inst = gen_instance(40, 2, 0.5, seed=3)
+    for size, flag in ((2, "" if variant == "HC0" else "undefined"), (1, "singular")):
+        labels = np.zeros(40, dtype=int)
+        labels[:size] = 1
+        m = Membership(labels=labels, n_communities=2)
+        fit = fit_full(inst.adjacency, inst.covariate, inst.response, m)
+        table = wald_table(fit, variant=variant)
+        assert table.variant == variant
+        for cell in table.cells:
+            assert cell.flag == ("" if cell.target == 0 else flag)
+            assert all(math.isnan(v) for v in (cell.se, cell.z, cell.p)) == bool(cell.flag)
+        if flag:
+            assert f"[{flag}] " in table.to_text()
 
 
 def test_wald_table_csv(tmp_path):
