@@ -36,15 +36,16 @@ def square(adjacency, n: int | None = None) -> np.ndarray:
     return A
 
 
-def symmetric(adjacency, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``square(adjacency, n)``, finite and symmetric, and the same matrix in Fortran order.
+def symmetric(adjacency, n: int | None = None) -> np.ndarray:
+    """``square(adjacency, n)``, finite and symmetric, in C order.
 
     One pass over the upper triangle's tiles checks both: with t = 128,
     A[i:i+t, j:j+t] - A[j:j+t, i:i+t].T is 0 exactly where a pair is finite
     and equal (inf - inf is nan, and an overflowing difference is inf), so a
     nonzero (nan included) entry fails. Whole tiles keep the mirror's reads
-    short strided runs instead of single rows. For C-contiguous A the Fortran
-    view is A.T.
+    short strided runs instead of single rows. A symmetric A is its own
+    transpose, so a Fortran-ordered A is returned as A.T, without a copy, and
+    A.T of the result is the Fortran-order operand of every BLAS product.
     """
     A = square(adjacency, n)
     size = A.shape[0]
@@ -58,7 +59,9 @@ def symmetric(adjacency, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
                     raise ValueError(
                         f"adjacency must be symmetric; A[{r}, {c}] = {a} but A[{c}, {r}] = {b}"
                     )
-    return A, A.T if A.flags.c_contiguous else np.asfortranarray(A)
+    if A.flags.c_contiguous:
+        return A
+    return A.T if A.flags.f_contiguous else np.ascontiguousarray(A)
 
 
 def vector(values, n: int | None, name: str) -> np.ndarray:

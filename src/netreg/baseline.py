@@ -26,7 +26,7 @@ DEFAULT_GRID_RANGE = (1e-3, 10.0)
 
 def laplacian(adjacency) -> np.ndarray:
     """Combinatorial graph Laplacian diag(A 1) - A (self-loops cancel); A finite and symmetric."""
-    A, _ = symmetric(adjacency)
+    A = symmetric(adjacency)
     L = -A
     L[np.diag_indices_from(L)] += A.sum(axis=1)
     return L
@@ -70,11 +70,11 @@ def fit_netcoh(adjacency, covariate, response, lam: float) -> NetcohFit:
     lam = float(lam)
     if not (np.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be finite and positive, got {lam}")
-    A, A_f, x, y = _checked(adjacency, covariate, response)
+    A, x, y = _checked(adjacency, covariate, response)
     rhs = np.stack((x, y))
     deg = np.tile(A.sum(axis=1), (2, 1))
     held = np.zeros((2, 0), np.intp)
-    runs = _lanczos(A_f, rhs, np.ones_like(rhs), deg, held, np.array([lam]), np.array([0, 0]))
+    runs = _lanczos(A, rhs, np.ones_like(rhs), deg, held, np.array([lam]), np.array([0, 0]))
     return _whole_graph_fit(runs, x, lam)
 
 
@@ -112,9 +112,9 @@ def _lapack(routine: str, *args, **kwargs) -> list:
 
 
 def _checked(adjacency, covariate, response):
-    """A, A in Fortran order, x and y: A finite, symmetric and n x n, x and y finite n-vectors."""
+    """A (C-ordered), x and y: A finite, symmetric and n x n, x and y finite n-vectors."""
     x = vector(covariate, None, "covariate")
-    return (*symmetric(adjacency, x.size), x, vector(response, x.size, "response"))
+    return symmetric(adjacency, x.size), x, vector(response, x.size, "response")
 
 
 # A Lanczos run stops once the Galerkin residual of every grid lambda is below
@@ -137,13 +137,13 @@ _LANCZOS_CHUNK = 32
 _DSYMV_MAX_RUNS = 2
 
 
-def _lanczos(A_f, rhs, mask, deg, held, lambdas, x_run):
+def _lanczos(A, rhs, mask, deg, held, lambdas, x_run):
     """Lanczos for many training Laplacians at once, one product with A per step.
 
     Run r solves (I + lam L_r) s = rhs[r] for every grid lambda. For a v that
     is zero off the run's training nodes (mask[r] = 1), L_r v =
     deg[r] v - mask[r] (A v) is the training subgraph's Laplacian, where deg[r]
-    = A mask[r]; one dgemm of A_f (A in Fortran order) with the block of
+    = A mask[r]; one dgemm of A.T (A in Fortran order) with the block of
     current basis vectors advances every run, or one dsymv per run for a
     block of up to _DSYMV_MAX_RUNS runs. The held-out rows ``held[r]`` of
     each product -A v are kept for the harmonic extension, gathered by one
@@ -202,9 +202,9 @@ def _lanczos(A_f, rhs, mask, deg, held, lambdas, x_run):
         np.multiply(deg, v, out=w)
         if runs <= _DSYMV_MAX_RUNS:
             for v_r, w_r in zip(v, w):
-                blas.dsymv(-1.0, A_f, v_r, 1.0, w_r, overwrite_y=1)
+                blas.dsymv(-1.0, A.T, v_r, 1.0, w_r, overwrite_y=1)
         else:
-            blas.dgemm(-1.0, A_f, v.T, 1.0, w.T, overwrite_c=1)
+            blas.dgemm(-1.0, A.T, v.T, 1.0, w.T, overwrite_c=1)
         w.take(flat_held, out=AV_held[k], mode="clip")  # the ids are in range
         w *= mask
         np.vecdot(v, w, out=a)
@@ -339,7 +339,7 @@ def _grounded(A: np.ndarray, held: np.ndarray, boundary: np.ndarray) -> np.ndarr
     return np.bincount(comp, weights=touches)[comp] > 0
 
 
-def _cv_pass(A_f, x, y, folds, lambdas, deg=None):
+def _cv_pass(A, x, y, folds, lambdas, deg=None):
     """Held-out squared error of every lambda summed over some folds, and their ungrounded count.
 
     Each fold's training fit solves (I + lam L_tt) [s_x, s_y] = [x_t, y_t]
@@ -358,14 +358,13 @@ def _cv_pass(A_f, x, y, folds, lambdas, deg=None):
     ungrounded count, deg, and those two runs in _lanczos's layout (None when
     deg was given).
     """
-    A = A_f.T  # A is symmetric, so this is A in C order, without a copy
     n, nf = x.size, len(folds)
     whole = int(deg is None)
     train = np.ones((n, whole + nf), order="F")
     for f, held in enumerate(folds):
         train[held, whole + f] = 0.0
     # Training degrees; on a held-out node, its edge weight into the training set.
-    deg_t = blas.dgemm(1.0, A_f, train)
+    deg_t = blas.dgemm(1.0, A.T, train)
     if whole:
         deg = deg_t[:, 0]
     # Runs: x_t of every fold, y_t of every fold, then x and y on the whole graph.
@@ -378,7 +377,7 @@ def _cv_pass(A_f, x, y, folds, lambdas, deg=None):
     for f, held in enumerate(folds):
         held_rows[f, : held.size] = held_rows[nf + f, : held.size] = held
     x_run = np.concatenate((np.tile(np.arange(nf), 2), np.full(2 * whole, 2 * nf)))
-    runs = _lanczos(A_f, rhs, mask, deg_t.T[cols], held_rows, lambdas, x_run)
+    runs = _lanczos(A, rhs, mask, deg_t.T[cols], held_rows, lambdas, x_run)
     V, AV_held, a_diag, b_off, norm, steps = runs
     top = steps.max()
     # x^T V of every run (zero past a run's last step).
@@ -452,7 +451,7 @@ def cv_select_lambda(
     Raises LinAlgError when some I + lam L_tt is not positive definite
     (negative edge weights).
     """
-    _, A_f, x, y = _checked(adjacency, covariate, response)
+    A, x, y = _checked(adjacency, covariate, response)
     n = x.size
     if not 2 <= n_folds <= n:
         raise ValueError(f"n_folds must be in [2, {n}], got {n_folds}")
@@ -466,11 +465,9 @@ def cv_select_lambda(
     rng = np.random.default_rng(seed)
     folds = [np.sort(fold) for fold in np.array_split(rng.permutation(n), n_folds)]
     per_pass = max(5, n // _LANCZOS_CHUNK)
-    total_sq_err, ungrounded, deg, refit = _cv_pass(A_f, x, y, folds[:per_pass], lambdas)
+    total_sq_err, ungrounded, deg, refit = _cv_pass(A, x, y, folds[:per_pass], lambdas)
     for start in range(per_pass, n_folds, per_pass):
-        sq_err, pass_ungrounded, _, _ = _cv_pass(
-            A_f, x, y, folds[start : start + per_pass], lambdas, deg
-        )
+        sq_err, pass_ungrounded, _, _ = _cv_pass(A, x, y, folds[start : start + per_pass], lambdas, deg)
         total_sq_err += sq_err
         ungrounded += pass_ungrounded
     cv_errors = total_sq_err / n

@@ -145,15 +145,13 @@ class SpectralEmbedding:
     zero_rows: np.ndarray = field(repr=False)
 
 
-def _leading_eigenpairs(
-    A: np.ndarray, A_f: np.ndarray, k: int, tol: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
+def _leading_eigenpairs(A: np.ndarray, k: int, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of A, as ``_inputs.symmetric`` returns it, for the k largest |eigenvalues|.
 
     Returned in descending |eigenvalue| order (ties broken by descending
     eigenvalue), with a deterministic sign convention: each vector's
     largest-magnitude entry is positive. Both solvers are scipy's (README,
-    "One OpenBLAS pool"); ARPACK's products read A_f, A in Fortran order.
+    "One OpenBLAS pool"); ARPACK's products read A.T, A in Fortran order.
     ``tol`` is ARPACK's relative residual (0: machine precision); the dense
     solver ignores it.
     """
@@ -161,7 +159,7 @@ def _leading_eigenpairs(
     if k >= n - 1:  # ARPACK's basis would be the whole space: dsyevd, as numpy's eigh.
         vals, vecs = eigh(A, driver="evd", check_finite=False)
     else:
-        op = LinearOperator(A.shape, matvec=lambda v: blas.dsymv(1.0, A_f, v), dtype=np.float64)
+        op = LinearOperator(A.shape, matvec=lambda v: blas.dsymv(1.0, A.T, v), dtype=np.float64)
         # A fixed start vector, and a fixed seed for the random vector ARPACK
         # restarts from when its Krylov space turns invariant (as on an
         # identity or clique graph), give every call and process the same bits.
@@ -200,12 +198,12 @@ def spectral_embed(adjacency, n_communities: int) -> SpectralEmbedding:
     so the embedding columns are the eigenvectors with largest |eigenvalue|.
     Rows are normalized to unit Euclidean norm.
     """
-    A, A_f = symmetric(adjacency)
+    A = symmetric(adjacency)
     n = A.shape[0]
     K = int(n_communities)
     if not 1 <= K <= n:
         raise ValueError(f"n_communities must be in [1, {n}], got {K}")
-    return _embedding(*_leading_eigenpairs(A, A_f, K))
+    return _embedding(*_leading_eigenpairs(A, K))
 
 
 @dataclass(frozen=True)
@@ -253,18 +251,18 @@ def estimate_k(adjacency, k_max: int) -> ScreeResult:
     for ``ScreeResult.embedding`` are the leading ones whose residual is at
     machine precision (``_converged_prefix``).
     """
-    A, A_f = symmetric(adjacency)
+    A = symmetric(adjacency)
     n = A.shape[0]
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must be in [1, {n}], got {k_max}")
-    vals, vecs = _leading_eigenpairs(A, A_f, k_max, tol=_SCREE_TOL)
+    vals, vecs = _leading_eigenpairs(A, k_max, tol=_SCREE_TOL)
     if _has_repeated_value(vals):
         # Lanczos from one start vector finds the further copies of a
         # multiple eigenvalue only as rounding grows them, and a run stopped
         # at _SCREE_TOL may end before it has: solve to machine precision
         # instead. A dense solve gives the same bits again.
-        vals, vecs = _leading_eigenpairs(A, A_f, k_max)
-    vecs = vecs[:, : _converged_prefix(A_f, vals, vecs)]
+        vals, vecs = _leading_eigenpairs(A, k_max)
+    vecs = vecs[:, : _converged_prefix(A, vals, vecs)]
     sigma = np.abs(vals)
     p = float(np.clip((A.sum() - np.trace(A)) / max(n * (n - 1), 1), 0.0, 1.0))
     bulk_edge = 1.1 * 2.0 * float(np.sqrt(n * p * (1.0 - p)))
@@ -284,7 +282,7 @@ def _has_repeated_value(vals: np.ndarray) -> bool:
     return bool((np.diff(np.sort(vals)) <= _REPEATED_RTOL * np.abs(vals).max()).any())
 
 
-def _converged_prefix(A_f: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> int:
+def _converged_prefix(A: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> int:
     """How many leading pairs have ||A v_j - theta_j v_j|| <= _KEPT_RESIDUAL |theta_1|.
 
     One dsymv per pair, in order, up to the first that fails. One dgemm for
@@ -294,7 +292,7 @@ def _converged_prefix(A_f: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> in
     """
     bound = _KEPT_RESIDUAL * abs(vals[0])
     for j, (theta, v) in enumerate(zip(vals, vecs.T)):
-        if np.linalg.norm(blas.dsymv(1.0, A_f, v, -theta, v)) > bound:
+        if np.linalg.norm(blas.dsymv(1.0, A.T, v, -theta, v)) > bound:
             return j
     return vals.size
 

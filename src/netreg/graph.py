@@ -32,7 +32,7 @@ class EdgeListFormatError(ValueError):
 
 def validate_adjacency(adjacency) -> np.ndarray:
     """Check symmetry, {0,1} entries, and unit diagonal; return a float64 array."""
-    A, _ = symmetric(adjacency)
+    A = symmetric(adjacency)
     for i in range(0, A.shape[0], _ROW_BLOCK):
         rows = A[i : i + _ROW_BLOCK]
         if not ((rows == 0.0) | (rows == 1.0)).all():

@@ -39,7 +39,8 @@ def _covariance(design_rows, residuals, variant: str, community: int) -> Covaria
     the sandwich variants H^{-1} X^T diag(w r^2) X H^{-1} weight the squared
     residuals by 1 (HC0), n_k / (n_k - K) (HC1), or 1 / (1 - h_ii)^2 with h_ii
     the leverage of row i (HC3). A singular H raises LinAlgError; n_k <= K
-    (homoskedastic, HC1) or a leverage of 1 (HC3) raises ``_Undefined``.
+    (an exact fit, under every variant) or a leverage of 1 (HC3) raises
+    ``_Undefined``.
     """
     if variant not in HC_VARIANTS:
         raise ValueError(f"variant must be one of {HC_VARIANTS}, got {variant!r}")
@@ -49,7 +50,7 @@ def _covariance(design_rows, residuals, variant: str, community: int) -> Covaria
     H_inv, singular = pinv_psd(X.T @ X, scale_rows=n_k)
     if singular:
         raise np.linalg.LinAlgError("Hessian is singular; covariance undefined")
-    if variant in ("homoskedastic", "HC1") and n_k <= K:
+    if n_k <= K:
         raise _Undefined(f"{variant} needs n_k > K, got n_k = {n_k}, K = {K}")
     if variant == "homoskedastic":
         sigma2 = float(r @ r) / (n_k - K)
@@ -77,6 +78,8 @@ def community_covariance(
     if fit.structure != "full":
         raise ValueError("per-community covariances require a full-structure fit")
     mask = fit.membership.labels == community
+    if mask.any() and fit.min_norm[community]:  # the row is one of many least-squares solutions
+        raise np.linalg.LinAlgError("the fit is min-norm: Hessian is singular; covariance undefined")
     return _covariance(fit.aggregates[mask], fit.residuals[mask], variant, community)
 
 
@@ -98,7 +101,7 @@ def significance_stars(p: float) -> str:
 # What each TestCell.flag means; a flagged cell's p-value is not a test result.
 _FLAG_MEANINGS = {
     "singular": "the target community's Hessian is singular: no standard error",
-    "undefined": "n_k <= K, or a leverage of 1 (HC3): the variant gives no standard error",
+    "undefined": "n_k <= K (an exact fit), or a leverage of 1 (HC3): the variant gives no standard error",
     "degenerate": "estimate and standard error are both 0",
     "zero_se": "the standard error is 0: z is infinite",
 }

@@ -537,8 +537,8 @@ def run_theory_checks(
     x = rng.standard_normal(n)
     beta_star = rng.standard_normal((K, K))
     A = sample_sbm(params, seed=derive_seed(base_seed, code, 2, 1))
-    signal = predict(A, x, membership, beta_star)
     N = aggregate(A, x[:, None], membership)
+    signal = predict(None, x, membership, beta_star, aggregates=N)
     noise_rng = np.random.default_rng(derive_seed(base_seed, code, 2, 2))
     Y = signal + noise_sd * noise_rng.standard_normal((n_noise_reps, n))
 

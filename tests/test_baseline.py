@@ -503,7 +503,6 @@ def test_lanczos_dsymv_block_matches_dgemm_block(monkeypatch):
     # Two runs alone advance by one dsymv each; carried in a block of four
     # they advance by the block's dgemm. Only rounding differs.
     A, x, y = connected_instance(23, n=300)
-    A_f = np.asfortranarray(A)
     deg = A.sum(axis=1)
     lambdas = default_lambda_grid()[::9]
     products = []
@@ -519,7 +518,7 @@ def test_lanczos_dsymv_block_matches_dgemm_block(monkeypatch):
         products.clear()
         runs = rhs.shape[0]
         held, no_slope = np.zeros((runs, 0), np.intp), np.arange(runs)
-        out = baseline._lanczos(A_f, rhs, np.ones_like(rhs), np.tile(deg, (runs, 1)), held, lambdas, no_slope)
+        out = baseline._lanczos(A, rhs, np.ones_like(rhs), np.tile(deg, (runs, 1)), held, lambdas, no_slope)
         return out, set(products)
 
     (V2, _, a2, b2, norm2, steps2), used2 = solve(np.stack((x, y)))

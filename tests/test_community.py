@@ -11,9 +11,12 @@ from netreg import (
     Membership,
     SbmParams,
     align_permutation,
+    cv_select_lambda,
     detect_communities,
     estimate_k,
+    fit_netcoh,
     kmeans,
+    laplacian,
     perturb_membership,
     sample_sbm,
     spectral_embed,
@@ -646,7 +649,7 @@ def lanczos_cases():
 @pytest.mark.parametrize("case", list(lanczos_cases()), ids=lambda c: c[0])
 def test_lanczos_eigenpairs_match_dense_eigh(case):
     _, A, k = case
-    vals, vecs = _leading_eigenpairs(*symmetric(A), k)
+    vals, vecs = _leading_eigenpairs(symmetric(A), k)
     w, V = np.linalg.eigh(A)
     order = np.argsort(-np.abs(w))[:k]
     np.testing.assert_allclose(vals, w[order], rtol=1e-10, atol=0)
@@ -718,17 +721,35 @@ def test_scree_embedding_stops_at_the_kept_prefix(monkeypatch):
 
 
 def test_lanczos_result_does_not_depend_on_memory_layout():
+    # Every reader of a symmetric A gets it in C order, so a weighted A in C,
+    # Fortran or strided layout gives the same bits: ARPACK's and the
+    # cohesion fits' Lanczos runs, the degrees A 1 and the scree.
     n = 550
     rng = np.random.default_rng(43)
     A = sample_sbm(assortative_params(rng, n, 3), seed=44)
+    weights = rng.random((n, n))
+    A *= np.triu(weights) + np.triu(weights, k=1).T
+    x, y = rng.standard_normal((2, n))
     padded = np.zeros((2 * n, 2 * n))
     padded[::2, ::2] = A
     layouts = [A, np.asfortranarray(A), padded[::2, ::2]]
     assert not layouts[2].flags.c_contiguous and not layouts[2].flags.f_contiguous
-    results = [_leading_eigenpairs(*symmetric(M), 5) for M in layouts]
-    for vals, vecs in results[1:]:
-        assert np.array_equal(vals, results[0][0])
-        assert np.array_equal(vecs, results[0][1])
+
+    def outputs(M):
+        cohesion = (fit_netcoh(M, x, y, 0.5), cv_select_lambda(M, x, y, grid=np.geomspace(1e-2, 10, 7)))
+        scree = estimate_k(M, 8)
+        return [
+            *_leading_eigenpairs(symmetric(M), 5),
+            laplacian(M),
+            *(np.append(fit.alpha, [fit.beta, fit.lam]) for fit in cohesion),
+            np.array(cohesion[1].cv_curve),
+            scree.singular_values,
+            scree.eigenvectors,
+        ]
+
+    results = [outputs(M) for M in layouts]
+    for result in results[1:]:
+        assert [r.tobytes() for r in result] == [r.tobytes() for r in results[0]]
 
 
 def _numpy_leading_eigenpairs(A, k):
@@ -747,7 +768,7 @@ def test_dense_eigenpairs_match_numpy_eigh(n, k):
     # k >= n - 1 takes the dense eigh, a smaller k ARPACK.
     rng = np.random.default_rng(n)
     A = sample_sbm(assortative_params(rng, n, 3), seed=n + 1)
-    vals, vecs = _leading_eigenpairs(*symmetric(A), k)
+    vals, vecs = _leading_eigenpairs(symmetric(A), k)
     ref_vals, ref_vecs = _numpy_leading_eigenpairs(A, k)
     np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-10 * np.abs(ref_vals).max())
     np.testing.assert_allclose(vecs, ref_vecs, rtol=0, atol=1e-8)

@@ -100,10 +100,14 @@ def test_hc1_is_exact_multiple_of_hc0():
 
 
 def test_hc3_leverage_error():
-    # Square design: every leverage is exactly 1.
-    X = np.eye(3)
-    with pytest.raises(ValueError):
-        _covariance(X, np.ones(3), "HC3", 0)
+    # Row 0 alone spans e_1, so its leverage is exactly 1 although n_k > K.
+    X = np.eye(3)[[0, 1, 1, 2, 2]]
+    with pytest.raises(ValueError, match="leverage of 1"):
+        _covariance(X, np.ones(5), "HC3", 0)
+    # A square design is an exact fit, which no variant gives a covariance.
+    for variant in ("homoskedastic", "HC0", "HC1", "HC3"):
+        with pytest.raises(ValueError, match=f"^{variant} needs n_k > K, got n_k = 3, K = 3$"):
+            _covariance(np.eye(3), np.ones(3), variant, 0)
 
 
 def test_bad_variant_error_names_all_four_variants():
@@ -210,10 +214,12 @@ def test_wald_flags_singular_community_without_aborting():
 
 @pytest.mark.parametrize("variant", ["homoskedastic", "HC0", "HC1", "HC3"])
 def test_wald_flags_undefined_community_without_aborting(variant):
-    # A 2-node community (n_k = K) leaves homoskedastic, HC1 and HC3 undefined
-    # and used to abort the table; a 1-node one has a singular Hessian.
+    # A 2-node community (n_k = K) is fitted exactly: its residuals are
+    # rounding noise, so every variant is undefined (HC0's SE would read
+    # 3e-16 and its p-value 0). A 1-node one has a singular Hessian. Neither
+    # aborts the table.
     inst = gen_instance(40, 2, 0.5, seed=3)
-    for size, flag in ((2, "" if variant == "HC0" else "undefined"), (1, "singular")):
+    for size, flag in ((2, "undefined"), (1, "singular")):
         labels = np.zeros(40, dtype=int)
         labels[:size] = 1
         m = Membership(labels=labels, n_communities=2)
@@ -225,6 +231,25 @@ def test_wald_flags_undefined_community_without_aborting(variant):
             assert all(math.isnan(v) for v in (cell.se, cell.z, cell.p)) == bool(cell.flag)
         if flag:
             assert f"[{flag}] " in table.to_text()
+
+
+@pytest.mark.parametrize("variant", ["homoskedastic", "HC0", "HC1", "HC3"])
+def test_wald_flags_min_norm_community_singular(variant):
+    # Shrinking x on community 1 shrinks column 1 of every aggregate. Community
+    # 1's Hessian then has an eigenvalue under the fit's rank threshold
+    # (scale_rows = n) but not under the covariance's (scale_rows = n_k). Its
+    # row is min-norm, so the table prints no p-value for it (under HC1 its
+    # cells would read p = 0.0399 for source 0 and an SE of 1.7e5 for source 1).
+    inst = gen_instance(400, 4, 0.5, seed=3)
+    x = inst.covariate.copy()
+    x[inst.membership.labels == 1] *= 1.1494691264995868e-06
+    fit = fit_full(inst.adjacency, x, inst.response, inst.membership)
+    assert fit.min_norm == [False, True, False, False]
+    with pytest.raises(np.linalg.LinAlgError, match="min-norm"):
+        community_covariance(fit, 1, variant)
+    for cell in wald_table(fit, variant=variant).cells:
+        assert cell.flag == ("singular" if cell.target == 1 else "")
+        assert math.isnan(cell.p) == (cell.target == 1)
 
 
 def test_wald_table_csv(tmp_path):

@@ -50,10 +50,12 @@ def test_symmetric_accepts_every_layout_bit_for_bit(n, layout, weighted, seed):
     kept = given_A.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, got_f = symmetric(given_A)
+        got = symmetric(given_A)
     ref = np.asarray(given_A, dtype=np.float64)
-    assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
-    assert got_f.flags.f_contiguous and np.array_equal(got_f, A)
+    # One C-ordered float64 array; a contiguous float64 input (C or Fortran) is not copied.
+    assert got.dtype == np.float64 and got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+    contiguous = given_A.flags.c_contiguous or given_A.flags.f_contiguous
+    assert np.shares_memory(got, given_A) == (given_A.dtype == np.float64 and contiguous)
     assert given_A.dtype == kept.dtype and np.array_equal(given_A, kept)
     assert square(given_A, n).tobytes() == ref.tobytes()
 
