@@ -105,6 +105,14 @@ def _cmd_simulate_sbm(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    # The flags are checked before the network is read, so a bad one writes no file.
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.k is not None and not 1 <= args.k <= args.n:
+        raise ValueError(f"--k must be in [1, {args.n}] (--n), got {args.k}")
+    for flag, value in (("--k-max", args.k_max), ("--restarts", args.restarts)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     A = load_edge_list(args.network, args.n)
     scree = estimate_k(A, min(args.k_max, args.n))
     if args.scree_out:

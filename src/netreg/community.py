@@ -97,7 +97,9 @@ class Membership:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline()
             if not header.strip().lower().startswith("node_id"):
-                raise ValueError("membership CSV must start with a node_id,label header")
+                raise ValueError(
+                    f"{path}: line 1: expected a node_id,label header, got {header.rstrip()!r}"
+                )
             for line_no, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:

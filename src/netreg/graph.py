@@ -107,7 +107,7 @@ def load_edge_list(path, n: int) -> np.ndarray:
     whose first non-blank character is '#' is skipped; every other line holds
     exactly two whitespace-separated integers "i j" in [0, n), one undirected
     edge, 0-based. '#' starts a comment only at the start of a line. Lines may
-    end in LF or CRLF and may carry leading or trailing spaces or tabs.
+    end in LF, CRLF or CR and may carry leading or trailing spaces or tabs.
     Self-loops are forced to 1 regardless of the file content.
 
     The file is parsed and scattered into A in chunks of whole lines (about
@@ -136,11 +136,8 @@ _IS_BLANK = np.zeros(256, dtype=bool)
 _IS_BLANK[[ord(" "), ord("\t")]] = True
 _IS_BREAK = np.zeros(256, dtype=bool)
 _IS_BREAK[[ord("\n"), ord("\r")]] = True
-# Whole-line comments, line breaks with the blanks around them, and runs of
-# blanks; see _parse_chunk.
+# Whole-line comments; see _parse_chunk.
 _COMMENTS = re.compile(rb"(?<=[\r\n])[ \t]*#[^\r\n]*")
-_LINE_BREAKS = re.compile(rb"[ \t]*[\r\n][\r\n \t]*")
-_BLANKS = re.compile(rb"[ \t]+")
 
 
 def _read_edges(path, n: int, A: np.ndarray) -> bool:
@@ -168,23 +165,17 @@ def _read_edges(path, n: int, A: np.ndarray) -> bool:
 def _parse_chunk(text: bytes, n: int) -> np.ndarray | None:
     """The ids of whole lines as [i0, j0, i1, j1, ...], or None to defer to the scan.
 
-    ``text`` is a line break and then whole lines. Only digits, blanks and
-    line breaks are parsed here, so None may also mean a chunk the grammar
-    accepts (a "+1", an id longer than _MAX_DIGITS digits). Tokens are runs
-    of digits. The two ids of a line must be one blank apart and consecutive
-    lines one or two bytes apart, the last a line break; any other chunk is
-    parsed once more after ``_COMMENTS`` has emptied every whole-line comment
-    and ``_LINE_BREAKS`` and ``_BLANKS`` have shrunk every gap to one byte.
+    ``text`` is a line break and then whole lines; a chunk that holds a '#'
+    first has its whole-line comments emptied by ``_COMMENTS``. Only digits,
+    blanks and line breaks are parsed, so None may also mean a chunk the
+    grammar accepts (a "+1", an id longer than _MAX_DIGITS digits). Tokens
+    are runs of digits. Most files pass the exact check: a line's ids one
+    blank apart, lines one or two bytes apart, the last a line break. Any
+    other chunk counts the line breaks in each gap between ids: none inside
+    a line, at least one before the next line's first id.
     """
-    ids = _plain_chunk_ids(text, n)
-    if ids is None:
-        text = _LINE_BREAKS.sub(b"\n", _COMMENTS.sub(b"", text))
-        ids = _plain_chunk_ids(_BLANKS.sub(b" ", text), n)
-    return ids
-
-
-def _plain_chunk_ids(text: bytes, n: int) -> np.ndarray | None:
-    """``_parse_chunk`` without the gap rewrite."""
+    if b"#" in text:
+        text = _COMMENTS.sub(b"", text)
     if text.translate(None, _DIGITS_BLANKS_BREAKS):
         return None
     # Room to read _MAX_DIGITS bytes from the start of the last id.
@@ -202,7 +193,10 @@ def _plain_chunk_ids(text: bytes, n: int) -> np.ndarray | None:
         and (next_starts - ends[1:-1:2] <= 2).all()
         and _IS_BREAK[raw[next_starts - 1]].all()
     ):
-        return None
+        breaks = np.cumsum(_IS_BREAK[raw], dtype=np.int32)  # [t]: line breaks in raw[:t + 1]
+        gaps = breaks[starts[1:] - 1] - breaks[ends[:-1] - 1]  # between ids t and t + 1
+        if gaps[0::2].any() or not gaps[1::2].all():
+            return None
     digits = ends - starts
     longest = int(digits.max(initial=0))
     if longest > _MAX_DIGITS:

@@ -143,23 +143,25 @@ class TestTable:
         )
 
     def to_text(self) -> str:
-        """Estimate ± se over the p-value, per cell; a flagged cell shows its flag for p."""
+        """Estimate ± se over the p-value, per cell; a flagged cell shows its flag for p.
+
+        A column is its widest cell plus two spaces wide, and at least 18.
+        """
         K = max(c.target for c in self.cells) + 1
-        width = 18
-        header = "target".ljust(8) + "".join(
-            f"source {k + 1}".rjust(width) for k in range(K)
-        )
-        lines = [header]
+        labels, rows = ["target"], [[f"source {k + 1}" for k in range(K)]]
         for k1 in range(K):
-            est_line = f"{k1 + 1}".ljust(8)
-            p_line = " " * 8
-            for k2 in range(K):
-                c = self.cell(k1, k2)
-                est_line += f"{c.estimate:.3f} ± {c.se:.3f}".rjust(width)
-                tag = f"({c.stars}) " if c.stars else ""
-                p_line += (f"[{c.flag}]" if c.flag else f"{tag}{c.p:.4f}").rjust(width)
-            lines.append(est_line)
-            lines.append(p_line)
+            cells = [self.cell(k1, k2) for k2 in range(K)]
+            labels += [f"{k1 + 1}", ""]
+            rows.append([f"{c.estimate:.3f} ± {c.se:.3f}" for c in cells])
+            rows.append([
+                f"[{c.flag}]" if c.flag else (f"({c.stars}) " if c.stars else "") + f"{c.p:.4f}"
+                for c in cells
+            ])
+        widths = [max(18, 2 + max(len(row[k]) for row in rows)) for k in range(K)]
+        lines = [
+            label.ljust(8) + "".join(text.rjust(w) for text, w in zip(row, widths))
+            for label, row in zip(labels, rows)
+        ]
         flags = {c.flag for c in self.cells} - {""}
         lines += [f"[{flag}] {_FLAG_MEANINGS[flag]}" for flag in sorted(flags)]
         return "\n".join(lines)

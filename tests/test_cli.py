@@ -78,6 +78,25 @@ def test_simulate_and_detect(workspace, capsys):
     assert scree.read_text().splitlines()[0] == "index,sigma"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "0"], "--n must be at least 1, got 0"),
+        (["--k", "0"], "--k must be in [1, 60] (--n), got 0"),
+        (["--k", "61"], "--k must be in [1, 60] (--n), got 61"),
+        (["--k-max", "0"], "--k-max must be at least 1, got 0"),
+        (["--restarts", "0"], "--restarts must be at least 1, got 0"),
+    ],
+)
+def test_detect_rejects_a_bad_flag_before_writing(workspace, flags, message):
+    # A bad flag is named with its range before the scree is solved or written.
+    out, scree = workspace["dir"] / "detected.csv", workspace["dir"] / "scree.csv"
+    argv = ["detect", "--network", str(workspace["net"]), "--n", "60", "--out", str(out)]
+    with pytest.raises(SystemExit, match=f"^netreg detect: {re.escape(message)}$"):
+        main(argv + ["--scree-out", str(scree)] + flags)
+    assert not out.exists() and not scree.exists()
+
+
 def test_fit_and_infer(workspace, capsys):
     fit_json = workspace["dir"] / "fit.json"
     fitted_csv = workspace["dir"] / "fitted.csv"

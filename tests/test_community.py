@@ -597,19 +597,20 @@ def test_membership_csv_malformed_row_names_line(tmp_path, row):
 
 
 @pytest.mark.parametrize(
-    "body, message",
+    "text, message",
     [
-        ("0,0\n1,-1\n", r"membership\.csv: line 3: negative label -1"),
+        ("node_id,label\n0,0\n1,-1\n", r"membership\.csv: line 3: negative label -1"),
         (
-            "0,0\n1,2\n2,0\n",
+            "node_id,label\n0,0\n1,2\n2,0\n",
             r"membership\.csv: no node has label 1; 0\.\.2 must all be used",
         ),
+        ("label,node_id\n0,0\n", r"membership\.csv: line 1: expected a node_id,label header, got 'label,node_id'"),
     ],
-    ids=["negative", "unused"],
+    ids=["negative", "unused", "header"],
 )
-def test_membership_csv_bad_label_names_path(tmp_path, body, message):
+def test_membership_csv_bad_label_names_path(tmp_path, text, message):
     path = tmp_path / "membership.csv"
-    path.write_text("node_id,label\n" + body)
+    path.write_text(text)
     with pytest.raises(ValueError, match=message):
         Membership.from_csv(path)
 

@@ -4,7 +4,12 @@
 - ``<kind>/raw.csv`` and ``<kind>/summary.csv`` of each ``configs/<kind>_full.json``
   at ``--n-grid 100,300 --replicates 3``;
 - ``cli/``: the seven outputs of ``simulate-sbm``, ``detect``, ``fit``, ``infer``
-  and ``netcoh`` on the n = 300 inputs in ``inputs/``.
+  and ``netcoh`` on the n = 300 inputs in ``inputs/``;
+- ``cli/det_2000.csv`` and ``cli/scree_2000.csv``: ``detect --k 4`` on an
+  n = 2000 ``simulate-sbm`` network, drawn by the test and not kept, whose
+  scree is ARPACK's at ``_SCREE_TOL`` with the kept eigenvectors embedded;
+- ``cli/det_dense.csv`` and ``cli/scree_dense.csv``: ``detect --k-max 300`` on
+  the n = 300 inputs, which the dense ``eigh`` solves.
 
 The test runs the same commands and compares row order, keys and every
 non-float cell (statuses, labels, ids, flags, lambda) exactly, and float
@@ -33,8 +38,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 KINDS = ("network_ablation", "coef_structure", "misspecification")
 CLI_OUTPUTS = ("sim.txt", "det.csv", "scree.csv", "fit.json", "fitted.csv", "wald.csv", "nc.json")
+DETECT_OUTPUTS = ("det_2000.csv", "scree_2000.csv", "det_dense.csv", "scree_dense.csv")
 OUTPUTS = [f"{kind}/{table}" for kind in KINDS for table in ("raw.csv", "summary.csv")] + [
-    f"cli/{name}" for name in CLI_OUTPUTS
+    f"cli/{name}" for name in CLI_OUTPUTS + DETECT_OUTPUTS
 ]
 INPUTS = ("net.txt", "membership.csv", "x.csv", "y.csv")
 _RTOL = 1e-12
@@ -84,6 +90,12 @@ def generate(out: Path) -> None:
         ["infer", *data, "--membership", inputs / "membership.csv", "--hc-variant", "HC3",
          "--out", cli / "wald.csv"],
         ["netcoh", *data, "--lam", "1.0", "--out", cli / "nc.json"],
+        ["simulate-sbm", "--n", 2000, "--block-probs", json.dumps(_BLOCK_PROBS), "--seed", 0,
+         "--out", out / "sim_2000.txt"],
+        ["detect", "--network", out / "sim_2000.txt", "--n", 2000, "--k", _K, "--seed", 0,
+         "--out", cli / "det_2000.csv", "--scree-out", cli / "scree_2000.csv"],
+        ["detect", "--network", inputs / "net.txt", "--n", _N, "--k-max", _N, "--seed", 0,
+         "--out", cli / "det_dense.csv", "--scree-out", cli / "scree_dense.csv"],
     ]
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -268,7 +269,7 @@ def _edge_line(draw):
     if kind == "pair":
         body = draw(_ID) + draw(_SEP) + draw(_ID)
     elif kind == "tokens":
-        tokens = draw(st.lists(_TOKEN, min_size=1, max_size=3))
+        tokens = draw(st.lists(_TOKEN, min_size=1, max_size=4))
         body = tokens[0] + "".join(draw(_SEP) + t for t in tokens[1:])
     elif kind == "blank":
         body = ""
@@ -370,7 +371,7 @@ def test_save_edge_list_matches_row_loop_writer(tmp_path, n):
         assert got.read_bytes() == want.read_bytes()
 
 
-# Chunked parse: chunk boundaries inside lines, the gap rewrite, the scan fallback.
+# Chunked parse: chunk boundaries inside lines, the break count, the scan fallback.
 
 
 def _no_scan(*args):
@@ -388,7 +389,7 @@ def test_load_edge_list_chunk_boundary_inside_a_line(tmp_path, monkeypatch, n, c
     assert np.array_equal(load_edge_list(path, n), A)
 
 
-def test_load_edge_list_rewrites_wide_gaps_without_the_scan(tmp_path, monkeypatch):
+def test_load_edge_list_counts_breaks_in_wide_gaps_without_the_scan(tmp_path, monkeypatch):
     # CRLF, tabs, blank lines, indentation and trailing blanks; 16-byte chunks.
     text = "0 1\r\n  2\t\t0  \r\n\r\n\n1   2\n\t3 0 \n \n0\t3"
     path = tmp_path / "net.txt"
@@ -413,6 +414,26 @@ def test_load_edge_list_comment_lines_skip_the_scan(tmp_path, monkeypatch):
     assert np.array_equal(load_edge_list(path, 30), _load_edge_list_reference(path, 30))
 
 
+def test_load_edge_list_runs_the_comment_regex_only_on_chunks_with_a_hash(tmp_path, monkeypatch):
+    # 30 lines in 32-byte chunks; the one comment line lies in one chunk.
+    lines = [f"{i} {(i + 1) % 30}" for i in range(30)]
+    path = tmp_path / "net.txt"
+    comments, subs = graph._COMMENTS, []
+
+    class Counting:
+        def sub(self, repl, text):
+            subs.append(text)
+            return comments.sub(repl, text)
+
+    monkeypatch.setattr(graph, "_COMMENTS", Counting())
+    monkeypatch.setattr(graph, "_CHUNK", 32)
+    for with_comment, calls in ((False, 0), (True, 1)):
+        path.write_text("\n".join(lines[:12] + ["# c"] * with_comment + lines[12:]) + "\n")
+        subs.clear()
+        assert np.array_equal(load_edge_list(path, 30), _load_edge_list_reference(path, 30))
+        assert len(subs) == calls and all(b"#" in text for text in subs)
+
+
 @pytest.mark.parametrize("line, message", [
     ("1 #2", "non-integer node index in '1 #2'"),
     ("1 2 # edge", "expected two node indices, got 4 tokens"),
@@ -425,6 +446,16 @@ def test_load_edge_list_comment_past_a_line_start_is_the_scans_error(tmp_path, l
         load_edge_list(path, 3)
     assert excinfo.value.line_number == 3
     assert str(excinfo.value) == f"{path}: line 3: {message}"
+
+
+@pytest.mark.parametrize("text", [b"0 1\n1 2 0 2\n", b"0 1\r\n1  2\t0 2\r\n"])
+def test_load_edge_list_two_pairs_on_one_line_is_the_scans_error(tmp_path, text):
+    # Even counts of ids, so only the line breaks between them tell the lines apart.
+    path = tmp_path / "net.txt"
+    path.write_bytes(text)
+    with pytest.raises(EdgeListFormatError) as excinfo:
+        load_edge_list(path, 3)
+    assert str(excinfo.value) == f"{path}: line 2: expected two node indices, got 4 tokens"
 
 
 def test_load_edge_list_bad_line_past_the_first_chunk(tmp_path):
@@ -454,6 +485,37 @@ def test_chunked_load_edge_list_matches_line_scan_oracle(tmp_path_factory, text,
         assert np.array_equal(got[1], want[1])
     else:
         assert got[1] == want[1]
+
+
+@st.composite
+def _valid_edge_file(draw):
+    """Lines the grammar accepts: pairs, blank lines and whole-line comments, any line end."""
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(["pair", "pair", "blank", "comment"]), max_size=10)):
+        if kind == "pair":
+            body = draw(_ID) + draw(_SEP) + draw(_ID)
+        elif kind == "blank":
+            body = ""
+        else:
+            body = "#" + draw(st.sampled_from(["", " c", "0 1", "#", " 1\t2 ", "x"]))
+        lines.append(draw(_PAD) + body + draw(_PAD) + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    text = "".join(lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_valid_edge_file(), chunk=st.sampled_from([4, 7, 16, 64, 1 << 16]))
+def test_valid_edge_file_loads_without_the_scan(tmp_path_factory, text, chunk):
+    # The chunk parse takes every valid file whose lines each fit in a chunk;
+    # _read_edges defers a longer line to the scan.
+    path = tmp_path_factory.mktemp("valid") / "net.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_CHUNK", chunk)
+        if max(len(line) for line in re.split("[\r\n]", text)) <= chunk:
+            patch.setattr(graph, "_scan_edge_list", _no_scan)
+        got = load_edge_list(path, _ORACLE_N)
+    assert np.array_equal(got, _load_edge_list_reference(path, _ORACLE_N))
 
 
 # Memory: at n = 2000 (A = 30.5 MiB) each function holds A, if it returns or

@@ -252,6 +252,23 @@ def test_wald_flags_min_norm_community_singular(variant):
         assert math.isnan(cell.p) == (cell.target == 1)
 
 
+def test_wald_table_text_keeps_wide_cells_apart():
+    # The min-norm instance above: community 1's tiny x makes source 2's
+    # estimates and SEs up to 22 characters wide, past the least column width
+    # of 18, where "-0.068 ± 0.009-48332.484 ± 8173.025" used to run together.
+    inst = gen_instance(400, 4, 0.5, seed=3)
+    x = inst.covariate.copy()
+    x[inst.membership.labels == 1] *= 1.1494691264995868e-06
+    table = wald_table(fit_full(inst.adjacency, x, inst.response, inst.membership), variant="HC1")
+    lines = table.to_text().splitlines()
+    for k1 in range(4):
+        want = [f"{k1 + 1}"] + [
+            f"{c.estimate:.3f} ± {c.se:.3f}" for c in (table.cell(k1, k2) for k2 in range(4))
+        ]
+        assert re.split(r" {2,}", lines[1 + 2 * k1].strip()) == want
+    assert max(len(cell) for cell in want) > 18
+
+
 def test_wald_table_csv(tmp_path):
     A, x, m = small_instance(48, n=60, n_communities=2)
     y = np.random.default_rng(49).standard_normal(60)
